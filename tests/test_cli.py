@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -108,6 +109,33 @@ class TestTrain:
             assert main(["train", str(path), "--agent", "tabular"]) == 0
             blobs.append((run_dir / "metrics.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    # sha256 of the tabular outputs on quick_config, recorded before the env
+    # caches and the observation encoder were simplified; those changes must
+    # keep the outputs byte-identical.  DQN is left out: its matmuls depend
+    # on the BLAS build.
+    PINNED_TABULAR = {
+        False: {
+            "metrics.csv": "7dcefa2d0e6de0f510453882a2248fc31b3f475effef1feea99cda3278c60210",
+            "qtable.bin": "4173355682fbf5b0e99bf2aadf66d029a82e94bd7396b773267f09d336ab400a",
+        },
+        True: {
+            "metrics.csv": "b8b59e928631a3e41fbf23fd7bba862bd48643eb58db64f7f33fc9070fe71cf2",
+            "qtable.bin": "5b434f3a9c3f5f210fa32355027fae2adb6c55c37e799440078ff384eedc6a2d",
+        },
+    }
+
+    @pytest.mark.parametrize("partial_obs", [False, True], ids=["full", "partial"])
+    def test_tabular_outputs_match_pinned_hashes(self, quick_config, write_config, partial_obs):
+        path = write_config(quick_config)
+        argv = ["train", str(path), "--agent", "tabular"] + (["--partial-obs"] if partial_obs else [])
+        assert main(argv) == 0
+        run_dir = Path(quick_config["output_dir"]) / "quick"
+        digests = {
+            name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in self.PINNED_TABULAR[partial_obs]
+        }
+        assert digests == self.PINNED_TABULAR[partial_obs]
 
     def test_dqn_run_writes_network(self, quick_config, write_config):
         path = write_config(quick_config)
