@@ -17,8 +17,9 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -211,22 +212,14 @@ def _write_manifest(path: Path, record: RunRecord, extra: dict) -> None:
 
 
 def cmd_classify(graph_file: str) -> int:
-    try:
-        graph = load_graph(graph_file)
-    except (OSError, GraphFormatError) as exc:
-        print(f"error: cannot read graph: {exc}", file=sys.stderr)
-        return EXIT_IO
+    graph = load_graph(graph_file)
     report = validate_graph(graph)
     if report:
         print("graph is not well-formed:")
         for v in report:
             print(f"  - {v}")
         return EXIT_CONFIG
-    try:
-        result = classify_sos(graph)
-    except InvalidSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    result = classify_sos(graph)
     axioms = ", ".join(a.value for a in result.matched_axioms) or "none"
     print(f"component union: {result.component_union.value}")
     print(f"SoS: {'yes' if result.is_sos else 'no'}")
@@ -241,12 +234,7 @@ def cmd_classify(graph_file: str) -> int:
 
 
 def cmd_validate(graph_file: str) -> int:
-    try:
-        graph = load_graph(graph_file)
-    except (OSError, GraphFormatError) as exc:
-        print(f"error: cannot read graph: {exc}", file=sys.stderr)
-        return EXIT_IO
-    report = validate_graph(graph)
+    report = validate_graph(load_graph(graph_file))
     if not report:
         print("graph is well-formed")
         return EXIT_OK
@@ -311,14 +299,7 @@ def run_training(cfg: ExperimentConfig, agent: str, partial_obs: bool, run_dir: 
 
 
 def cmd_train(config_file: str, agent: str, partial_obs: bool) -> int:
-    try:
-        cfg = load_experiment_config(config_file)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_experiment_config(config_file)
     run_dir = cfg.output_dir / cfg.run_id
     record = run_training(cfg, agent, partial_obs, run_dir)
     print(f"run {record.run_id} ({agent}) -> {run_dir}")
@@ -338,9 +319,17 @@ def _load_policy(artifact_file: Path, cfg: ExperimentConfig):
     """Dispatch on the artifact header; returns a policy callable."""
     with open(artifact_file, "rb") as fh:
         magic = fh.read(4)
+    if magic not in (b"QTB1", b"MLP1"):
+        raise ConfigError(f"{artifact_file}: unrecognized artifact format")
+    try:
+        if magic == b"QTB1":
+            q, _gamma = load_qtable(artifact_file)
+        else:
+            params = dqn_mod.load_params(artifact_file)
+    except (ValueError, struct.error) as exc:  # truncated or corrupt payload
+        raise ConfigError(str(exc)) from exc
     n_actions = WorkshopEnv.num_actions
     if magic == b"QTB1":
-        q, _gamma = load_qtable(artifact_file)
         n_states = num_states(cfg.env_params)
         if q.num_actions != n_actions or q.num_states != n_states:
             raise ConfigError(
@@ -348,45 +337,22 @@ def _load_policy(artifact_file: Path, cfg: ExperimentConfig):
                 f"configured workshop ({n_states}x{n_actions})"
             )
         return table_policy(q)
-    if magic == b"MLP1":
-        params = dqn_mod.load_params(artifact_file)
-        expected = dqn_mod.feature_size(len(cfg.env_params.contexts))
-        if params.num_actions != n_actions or params.input_dim != expected:
-            raise ConfigError(
-                f"network shape {params.input_dim}->{params.num_actions} does not "
-                f"match the configured workshop ({expected}->{n_actions})"
-            )
-        return dqn_mod.network_policy(params, cfg.profile)
-    raise ConfigError(f"{artifact_file}: unrecognized artifact format")
+    expected = dqn_mod.feature_size(len(cfg.env_params.contexts))
+    if params.num_actions != n_actions or params.input_dim != expected:
+        raise ConfigError(
+            f"network shape {params.input_dim}->{params.num_actions} does not "
+            f"match the configured workshop ({expected}->{n_actions})"
+        )
+    return dqn_mod.network_policy(params, cfg.profile)
 
 
 def cmd_evaluate(artifact_file: str, config_file: str, episodes: int) -> int:
-    try:
-        cfg = load_experiment_config(config_file)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_experiment_config(config_file)
     artifact = Path(artifact_file)
-    if not artifact.exists():
-        print(f"error: no such artifact: {artifact}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        policy = _load_policy(artifact, cfg)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    policy = _load_policy(artifact, cfg)
     summary = evaluate_policy(cfg.env_params, cfg.profile, policy, episodes)
-    out = {
-        "episodes": summary.episodes,
-        "mean_return": summary.mean_return,
-        "worker_match_rate": summary.worker_match_rate,
-        "safety_violation_rate": summary.safety_violation_rate,
-    }
-    if episodes <= 0:
-        out = {"episodes": 0}
+    # an empty evaluation reports its episode count only
+    out = asdict(summary) if summary.episodes else {"episodes": 0}
     print(json.dumps(out, sort_keys=True))
     summary_path = artifact.with_name(artifact.stem + "_eval.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
@@ -467,23 +433,12 @@ def _network_as_table(params: dqn_mod.MlpParams, env_params: EnvParams, profile:
 
 
 def cmd_sweep(config_file: str, param: str, values_csv: str, agent: str, episodes: int) -> int:
-    try:
-        cfg = load_experiment_config(config_file)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_experiment_config(config_file)
     try:
         values = [float(v) for v in values_csv.split(",") if v.strip() != ""]
-        rows = sweep_param(cfg, param, values, agent, episodes)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
-        print(f"error: bad sweep values: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad sweep values: {exc}") from exc
+    rows = sweep_param(cfg, param, values, agent, episodes)
     out_dir = cfg.output_dir / cfg.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"sweep_{param.replace('.', '_')}.csv"
@@ -515,10 +470,11 @@ def moving_average(values: Sequence[float], window: int) -> list[float]:
 
 
 def cmd_emit_plot_data(run_dir: str, window: int) -> int:
+    if window < 1:
+        raise ConfigError(f"--window must be at least 1, got {window}")
     metrics_path = Path(run_dir) / "metrics.csv"
     if not metrics_path.exists():
-        print(f"error: no metrics at {metrics_path}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"no metrics at {metrics_path}")
     with open(metrics_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -526,10 +482,12 @@ def cmd_emit_plot_data(run_dir: str, window: int) -> int:
     x_col = "episode" if "episode" in fields else "step"
     y_col = "return" if "return" in fields else "episode_return"
     if x_col not in fields or y_col not in fields or not rows:
-        print(f"error: {metrics_path} has no learning-curve columns", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{metrics_path} has no learning-curve columns")
     xs = [row[x_col] for row in rows]
-    ys = [float(row[y_col]) for row in rows]
+    try:
+        ys = [float(row[y_col]) for row in rows]
+    except (TypeError, ValueError) as exc:  # a short row reads as None
+        raise csv.Error(f"{metrics_path}: bad {y_col} value: {exc}") from exc
     out_path = Path(run_dir) / "learning_curve.csv"
     header = (x_col, y_col, f"smoothed_{y_col}")
     if window >= len(ys) + 1:
@@ -589,20 +547,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; the one place where exceptions become exit codes."""
     args = build_parser().parse_args(argv)
-    if args.command == "classify":
-        return cmd_classify(args.graph)
-    if args.command == "validate":
-        return cmd_validate(args.graph)
-    if args.command == "train":
-        return cmd_train(args.config, args.agent, args.partial_obs)
-    if args.command == "evaluate":
-        return cmd_evaluate(args.artifact, args.config, args.episodes)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.param, args.values, args.agent, args.episodes)
-    if args.command == "emit-plot-data":
-        return cmd_emit_plot_data(args.rundir, args.window)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        if args.command == "classify":
+            return cmd_classify(args.graph)
+        if args.command == "validate":
+            return cmd_validate(args.graph)
+        if args.command == "train":
+            return cmd_train(args.config, args.agent, args.partial_obs)
+        if args.command == "evaluate":
+            return cmd_evaluate(args.artifact, args.config, args.episodes)
+        if args.command == "sweep":
+            return cmd_sweep(args.config, args.param, args.values, args.agent, args.episodes)
+        if args.command == "emit-plot-data":
+            return cmd_emit_plot_data(args.rundir, args.window)
+        raise AssertionError(f"unhandled command {args.command!r}")
+    except (ConfigError, InvalidSystemError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (OSError, json.JSONDecodeError, GraphFormatError, csv.Error) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -55,16 +55,10 @@ class Capability(str, Enum):
     SOCIAL_ACTUATION = "social_actuation"
 
 
-#: Capabilities a component of each family is allowed to carry.
-ALLOWED_CAPABILITIES: dict[ComponentType, frozenset[Capability]] = {
-    ComponentType.PHYSICAL: frozenset({Capability.SENSING, Capability.ACTUATION}),
-    ComponentType.CYBER: frozenset({Capability.COMPUTATION}),
-    ComponentType.SOCIAL: frozenset({Capability.SOCIAL_ACTUATION}),
-}
-
-#: Capabilities a family must provide (pooled over its components) for the
-#: family to count toward the system kind.
-REQUIRED_CAPABILITIES: dict[ComponentType, frozenset[Capability]] = {
+#: The capabilities of each family.  A component may carry only these, and
+#: a system's components must pool all of them for the family to count
+#: toward the system kind.
+FAMILY_CAPABILITIES: dict[ComponentType, frozenset[Capability]] = {
     ComponentType.PHYSICAL: frozenset({Capability.SENSING, Capability.ACTUATION}),
     ComponentType.CYBER: frozenset({Capability.COMPUTATION}),
     ComponentType.SOCIAL: frozenset({Capability.SOCIAL_ACTUATION}),
@@ -83,7 +77,7 @@ class Component:
         object.__setattr__(self, "capabilities", caps)
         if not caps:
             raise InvalidSystemError(f"{self.kind.value} component has no capabilities")
-        extra = caps - ALLOWED_CAPABILITIES[self.kind]
+        extra = caps - FAMILY_CAPABILITIES[self.kind]
         if extra:
             names = ", ".join(sorted(c.value for c in extra))
             raise InvalidSystemError(
@@ -93,7 +87,7 @@ class Component:
 
 def full_component(kind: ComponentType) -> Component:
     """A component carrying every capability its family allows."""
-    return Component(kind, ALLOWED_CAPABILITIES[kind])
+    return Component(kind, FAMILY_CAPABILITIES[kind])
 
 
 class SystemKind(str, Enum):
@@ -259,7 +253,7 @@ def classify_system(components: Iterable[Component]) -> SystemKind:
     for c in comps:
         pooled.setdefault(c.kind, set()).update(c.capabilities)
     satisfied = {
-        fam for fam, caps in pooled.items() if REQUIRED_CAPABILITIES[fam] <= caps
+        fam for fam, caps in pooled.items() if FAMILY_CAPABILITIES[fam] <= caps
     }
     effective = satisfied if satisfied else set(pooled)
     return _KIND_BY_FAMILIES[frozenset(effective)]

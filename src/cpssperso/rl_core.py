@@ -233,7 +233,6 @@ def train_tabular(
     schedule: LearningSchedule,
     gamma: float,
     partial_obs: bool = False,
-    exploration_seed: int | None = None,
     initial_q: float = 0.0,
 ) -> tuple[QTable, list[EpisodeMetrics]]:
     """Epsilon-greedy Q-learning against the environment.
@@ -244,8 +243,7 @@ def train_tabular(
     starts at ``initial_q`` (zeros by default; see optimistic_initial_value
     for the optimistic option).
     """
-    seed = exploration_seed if exploration_seed is not None else env.params.seed
-    rng = np.random.default_rng([seed, 1])
+    rng = np.random.default_rng([env.params.seed, 1])
     q = QTable(np.full((env.num_states, env.num_actions), float(initial_q)))
     metrics: list[EpisodeMetrics] = []
     for episode in range(schedule.episodes):
@@ -288,30 +286,28 @@ def evaluate_policy(
     profile: WorkerProfile,
     policy,
     episodes: int,
-    seed: int | None = None,
 ) -> EvalSummary:
     """Greedy rollouts of ``policy(state, observation) -> Action``.
 
     Reports mean undiscounted return, the fraction of steps whose action
     matched the worker-need rule, and the fraction of steps taking an unsafe
-    action next to a degraded influencing machine.
+    action next to a degraded influencing machine.  Episode ``i`` starts
+    from seed ``params.seed + 100_000 + i``.
     """
     if episodes <= 0:
         return EvalSummary(0, 0.0, 0.0, 0.0)
-    base = seed if seed is not None else params.seed
     env = WorkshopEnv(params, profile)
     returns = []
     matches = 0
     violations = 0
     steps = 0
     for i in range(episodes):
-        state, obs = env.reset(seed=base + 100_000 + i)
+        state, obs = env.reset(seed=params.seed + 100_000 + i)
         total = 0.0
         for _ in range(params.horizon):
             action = policy(state, obs)
             if action is worker_need(state, profile):
                 matches += 1
-            reward: object
             state, obs, reward, done = env.step(action)
             if any(rc != 0.0 for rc in reward.r_context):
                 violations += 1

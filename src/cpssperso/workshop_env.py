@@ -287,9 +287,7 @@ def _matched_move(worker: WorkerState, profile: WorkerProfile, action: Action):
         return "pace", _step_toward(PACES, worker.pace, profile.pace_preference)
     if action is Action.SPEED_UP:
         return "pace", _step_toward(PACES, worker.pace, profile.pace_preference)
-    if action is Action.ASSIST:
-        return "cognitive_load", _step_toward(LOADS, worker.cognitive_load, CognitiveLoad.LOW)
-    if action is Action.HOLD:
+    if action is Action.ASSIST or action is Action.HOLD:
         return "cognitive_load", _step_toward(LOADS, worker.cognitive_load, CognitiveLoad.LOW)
     return None
 
@@ -525,11 +523,7 @@ def encode_state(state: WorkshopState) -> int:
 
 def encode_observation(obs: Observation) -> int:
     """Index of the state the observation claims, on the same ordering."""
-    idx = WORKER_INDEX[obs.inferred_worker]
-    idx = idx * 2 + (0 if obs.team.pressure is Pressure.LOW else 1)
-    for c in obs.contexts:
-        idx = idx * 2 + (0 if c.machine is MachineCondition.OK else 1)
-    return idx
+    return encode_state(WorkshopState(obs.inferred_worker, obs.team, obs.contexts))
 
 
 def decode_state(index: int, params: EnvParams) -> WorkshopState:
@@ -599,8 +593,7 @@ class WorkshopEnv:
         self.profile = profile if profile is not None else WorkerProfile()
         self._rng = np.random.default_rng([params.seed, 0])
         self._state: WorkshopState | None = None
-        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._reward_cache: dict[tuple[int, int], RewardBreakdown] = {}
+        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, RewardBreakdown]] = {}
         self._decoded: dict[int, WorkshopState] = {}
 
     @property
@@ -637,30 +630,14 @@ class WorkshopEnv:
         t = self._state.step_index
         if t >= self.params.horizon:
             raise EpisodeOverError(f"episode is over (horizon {self.params.horizon})")
-        s_idx = encode_state(self._state)
-        a_idx = ACTION_INDEX[action]
-        next_ids, cum = self._row(s_idx, a_idx)
+        next_ids, cum, reward = self._row(encode_state(self._state), ACTION_INDEX[action])
         u = self._rng.random()
         k = min(int(np.searchsorted(cum, u, side="right")), len(next_ids) - 1)
         nxt = replace(self._decode_cached(int(next_ids[k])), step_index=t + 1)
         obs = self.observe(nxt)
-        reward = self.reward_breakdown(s_idx, a_idx)
         done = t + 1 >= self.params.horizon
         self._state = nxt
         return nxt, obs, reward, done
-
-    def reward_breakdown(self, state_index: int, action_index: int) -> RewardBreakdown:
-        key = (state_index, action_index)
-        br = self._reward_cache.get(key)
-        if br is None:
-            br = reward_fn(
-                self._decode_cached(state_index),
-                ACTIONS[action_index],
-                self.params,
-                self.profile,
-            )
-            self._reward_cache[key] = br
-        return br
 
     def _decode_cached(self, index: int) -> WorkshopState:
         st = self._decoded.get(index)
@@ -669,16 +646,17 @@ class WorkshopEnv:
             self._decoded[index] = st
         return st
 
-    def _row(self, s_idx: int, a_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    def _row(self, s_idx: int, a_idx: int) -> tuple[np.ndarray, np.ndarray, RewardBreakdown]:
+        """Next-state ids, their cumulative probabilities and the reward of
+        (s, a), built once per pair."""
         key = (s_idx, a_idx)
         row = self._rows.get(key)
         if row is None:
-            dist = transition_model(
-                self._decode_cached(s_idx), ACTIONS[a_idx], self.params, self.profile
-            )
+            state, action = self._decode_cached(s_idx), ACTIONS[a_idx]
+            dist = transition_model(state, action, self.params, self.profile)
             ids = np.array([encode_state(s) for s, _ in dist], dtype=np.int64)
             cum = np.cumsum(np.array([p for _, p in dist], dtype=np.float64))
-            row = (ids, cum)
+            row = (ids, cum, reward_fn(state, action, self.params, self.profile))
             self._rows[key] = row
         return row
 

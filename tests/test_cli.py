@@ -110,10 +110,9 @@ class TestTrain:
             blobs.append((run_dir / "metrics.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    # sha256 of the tabular outputs on quick_config, recorded before the env
-    # caches and the observation encoder were simplified; those changes must
-    # keep the outputs byte-identical.  DQN is left out: its matmuls depend
-    # on the BLAS build.
+    # sha256 of the tabular outputs on quick_config.  A change to the env, its
+    # caches or the state encoders must keep these outputs byte-identical.
+    # DQN is left out: its matmuls depend on the BLAS build.
     PINNED_TABULAR = {
         False: {
             "metrics.csv": "7dcefa2d0e6de0f510453882a2248fc31b3f475effef1feea99cda3278c60210",
@@ -164,6 +163,13 @@ class TestTrain:
         bad = tmp_path / "cfg.json"
         bad.write_text("{,}")
         assert main(["train", str(bad), "--agent", "tabular"]) == 3
+
+    def test_uncreatable_output_dir_exits_3(self, quick_config, write_config, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        quick_config["output_dir"] = str(blocker / "runs")
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 3
 
     def test_seed_env_var_overrides_config(self, quick_config, write_config, monkeypatch):
         monkeypatch.setenv("CPSSPERSO_SEED", "123")
@@ -218,6 +224,18 @@ class TestEvaluate:
         cfg = write_config(quick_config)
         assert main(["evaluate", str(tmp_path / "none.bin"), str(cfg)]) == 3
 
+    @pytest.mark.parametrize("magic", [b"QTB1", b"MLP1"])
+    def test_truncated_artifact_exits_2(self, quick_config, write_config, tmp_path, magic):
+        cfg = write_config(quick_config)
+        truncated = tmp_path / "truncated.bin"
+        truncated.write_bytes(magic + b"\x01\x00")
+        assert main(["evaluate", str(truncated), str(cfg)]) == 2
+
+    def test_unwritable_summary_exits_3(self, quick_config, write_config):
+        cfg, run_dir = self._trained_run(quick_config, write_config)
+        (run_dir / "qtable_eval.json").mkdir()
+        assert main(["evaluate", str(run_dir / "qtable.bin"), str(cfg), "--episodes", "2"]) == 3
+
     def test_network_artifact_evaluates(self, quick_config, write_config, capsys):
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "dqn"]) == 0
@@ -253,6 +271,10 @@ class TestSweep:
     def test_unknown_key_exits_2(self, quick_config, write_config):
         path = write_config(quick_config)
         assert main(["sweep", str(path), "--param", "env.bogus", "--values", "1"]) == 2
+
+    def test_non_numeric_values_exit_2(self, quick_config, write_config):
+        path = write_config(quick_config)
+        assert main(["sweep", str(path), "--param", "env.gamma", "--values", "0.9,abc"]) == 2
 
 
 class TestEmitPlotData:
@@ -293,6 +315,22 @@ class TestEmitPlotData:
 
     def test_missing_metrics_exits_2(self, tmp_path):
         assert main(["emit-plot-data", str(tmp_path / "empty")]) == 2
+
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_window_below_one_exits_2(self, tmp_path, window):
+        run_dir = tmp_path / "run"
+        self._write_metrics(run_dir, [1, 2, 3])
+        assert main(["emit-plot-data", str(run_dir), "--window", window]) == 2
+
+    @pytest.mark.parametrize(
+        "bad_row", ["2,not-a-number,0.1,0.0,7\n", "2\n"], ids=["non-numeric", "short-row"]
+    )
+    def test_bad_return_value_exits_3(self, tmp_path, bad_row):
+        run_dir = tmp_path / "run"
+        self._write_metrics(run_dir, [1, 2])
+        with open(run_dir / "metrics.csv", "a", newline="") as fh:
+            fh.write(bad_row)
+        assert main(["emit-plot-data", str(run_dir), "--window", "2"]) == 3
 
 
 def test_moving_average_trailing_window():
