@@ -51,7 +51,6 @@ from .rl_core import (
 )
 from .workshop_env import (
     EnvParams,
-    InvalidParamsError,
     WorkerProfile,
     WorkshopEnv,
     decode_state,
@@ -103,7 +102,7 @@ def _schedule_from_config(raw: Mapping) -> LearningSchedule:
             decay_steps=int(raw.get("decay_steps", 4000)),
             episodes=int(raw.get("episodes", 5000)),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad schedule section: {exc}") from exc
 
 
@@ -128,13 +127,13 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
         resolved.setdefault("dqn", {})["seed"] = seed_override
     try:
         env_params, profile = env_params_from_config(resolved.get("env", {}))
-    except (InvalidParamsError, KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad env section: {exc}") from exc
     schedule = _schedule_from_config(resolved.get("schedule", {}))
     initial_q = _initial_q_from_config(resolved.get("schedule", {}), env_params)
     try:
         hp = dqn_mod.hyperparams_from_config(resolved.get("dqn", {}))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad dqn section: {exc}") from exc
     try:
         objectives_from_config(resolved.get("objectives", []))
@@ -566,7 +565,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, InvalidSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError, GraphFormatError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, GraphFormatError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,9 +1,12 @@
-"""Three-layer personalisation pipeline.
+"""Three-layer personalisation pipeline over one workshop definition.
 
-Layer 1 binds the personalisation roles (user, hosting workshop, crowd,
-device, context elements) to nodes of a composition graph.  Layer 2 holds
-the stakeholders' objectives and detects conflicting pairs.  Layer 3
-assembles the resulting reinforcement-learning task definition: the state
+The workshop, including its context elements (machines), their influence on
+the user and the reward weights, is defined once, by ``EnvParams``.  Layer 1
+binds the personalisation roles (user, device, crowd, hosting CPSS) to nodes
+of a composition graph and checks that every context element of the workshop
+is a node too.  Layer 2 holds the stakeholders' objectives and detects
+conflicting pairs.  Layer 3 assembles the resulting reinforcement-learning
+task definition from the bound roles and the ``EnvParams``: the state
 composition, the action set, and prioritised per-entity reward terms -
 exactly what the workshop environment consumes.
 """
@@ -15,7 +18,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .meta_model import SosGraph, SystemKind, classify_system
-from .workshop_env import ACTIONS, Action
+from .workshop_env import ACTIONS, Action, EnvParams
 
 
 class UnknownSystemError(ValueError):
@@ -30,19 +33,9 @@ class DuplicateObjectiveError(ValueError):
     """Objective ids must be unique."""
 
 
-class PriorityViolationError(ValueError):
-    """The user's reward weight must strictly dominate every other term."""
-
-
 class Direction(str, Enum):
     MAXIMIZE = "maximize"
     MINIMIZE = "minimize"
-
-
-@dataclass(frozen=True)
-class ContextBinding:
-    id: str
-    influences_user: bool
 
 
 @dataclass(frozen=True)
@@ -52,32 +45,29 @@ class PersoScenario:
     user: str
     device: str
     crowd: tuple[str, ...]
-    context: tuple[ContextBinding, ...]
     cpss: str | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "user": self.user,
-            "device": self.device,
-            "crowd": list(self.crowd),
-            "context": [
-                {"id": c.id, "influences_user": c.influences_user} for c in self.context
-            ],
-        }
+        out: dict = {"user": self.user, "device": self.device, "crowd": list(self.crowd)}
         if self.cpss is not None:
             out["cpss"] = self.cpss
         return out
 
 
+_ROLE_KEYS = {"user", "device", "crowd", "cpss"}
+
+
 def scenario_from_dict(raw: Mapping) -> PersoScenario:
+    """Parse a ``roles`` mapping.  Unknown keys are rejected, so a context
+    list fails instead of being ignored: the context elements are defined by
+    ``EnvParams.contexts`` alone."""
+    unknown = set(raw) - _ROLE_KEYS
+    if unknown:
+        raise ValueError(f"unknown roles keys: {sorted(unknown)}")
     return PersoScenario(
         user=str(raw["user"]),
         device=str(raw["device"]),
         crowd=tuple(str(c) for c in raw.get("crowd", [])),
-        context=tuple(
-            ContextBinding(str(c["id"]), bool(c.get("influences_user", True)))
-            for c in raw.get("context", [])
-        ),
         cpss=str(raw["cpss"]) if raw.get("cpss") is not None else None,
     )
 
@@ -133,18 +123,19 @@ class BindingResult:
     warnings: tuple[str, ...]
 
 
-def bind_roles(graph: SosGraph, role_config: Mapping) -> BindingResult:
+def bind_roles(graph: SosGraph, role_config: Mapping, params: EnvParams) -> BindingResult:
     """Layer 1: resolve the personalisation roles against the graph.
 
-    Every referenced id must exist and the user and device must differ.  A
-    device whose own components do not classify to a single-system CPSS is
-    accepted but flagged: without social actuation on the device the
+    Every role id and every context element of the workshop
+    (``params.contexts``) must be a graph node, and the user and device must
+    differ.  A device whose own components do not classify to a single-system
+    CPSS is accepted but flagged: without social actuation on the device the
     assemblage cannot be a true CPSS.
     """
     scenario = scenario_from_dict(role_config)
     node_ids = {n.id for n in graph.nodes}
     referenced = [scenario.user, scenario.device, *scenario.crowd]
-    referenced += [c.id for c in scenario.context]
+    referenced += [c.id for c in params.contexts]
     if scenario.cpss is not None:
         referenced.append(scenario.cpss)
     for node_id in referenced:
@@ -187,38 +178,31 @@ def detect_conflicts(
 def assemble_rl_task(
     scenario: PersoScenario,
     objectives: Sequence[ObjectiveSpec],
-    env_section: Mapping,
+    params: EnvParams,
 ) -> RlTaskDef:
-    """Layer 3: turn a bound scenario into the RL task definition.
+    """Layer 3: turn a bound scenario and the workshop into the RL task.
 
     State composition is the user, one crowd aggregate, and exactly the
-    influencing context elements.  Reward terms mirror that composition with
-    weights from the environment section; the user's weight must strictly
-    dominate or the assembly is rejected.
+    context elements of ``params`` that influence the worker.  Reward terms
+    mirror that composition with the weights of ``params``, whose user weight
+    strictly dominates (``EnvParams`` enforces it); the discount is
+    ``params.gamma``.
     """
     detect_conflicts(objectives)  # validates id uniqueness as a side condition
-    weights = env_section.get("weights", {})
-    w_user = float(weights.get("w_worker", 1.0))
-    w_crowd = float(weights.get("w_team", 0.5))
-    w_context = float(weights.get("w_context", 0.5))
-    if w_user <= w_crowd or w_user <= w_context:
-        raise PriorityViolationError(
-            f"user reward weight {w_user} must strictly dominate the others "
-            f"(crowd {w_crowd}, context {w_context})"
-        )
-    influencing = [c.id for c in scenario.context if c.influences_user]
+    w = params.weights
     composition = [scenario.user]
-    terms = [RewardTerm("worker", scenario.user, w_user)]
+    terms = [RewardTerm("worker", scenario.user, w.w_worker)]
     if scenario.crowd:
         aggregate = "+".join(scenario.crowd)
         composition.append(aggregate)
-        terms.append(RewardTerm("team", aggregate, w_crowd))
-    for ctx_id in influencing:
-        composition.append(ctx_id)
-        terms.append(RewardTerm(f"context:{ctx_id}", ctx_id, w_context))
+        terms.append(RewardTerm("team", aggregate, w.w_team))
+    for ctx in params.contexts:
+        if ctx.influences_worker:
+            composition.append(ctx.id)
+            terms.append(RewardTerm(f"context:{ctx.id}", ctx.id, w.w_context))
     return RlTaskDef(
         state_composition=tuple(composition),
         action_set=ACTIONS,
         reward_terms=tuple(terms),
-        gamma=float(env_section.get("gamma", 0.95)),
+        gamma=params.gamma,
     )

@@ -17,9 +17,9 @@ worker states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,12 +47,6 @@ class Pace(str, Enum):
     SLOW = "slow"
     NORMAL = "normal"
     FAST = "fast"
-
-
-class Skill(str, Enum):
-    NOVICE = "novice"
-    SKILLED = "skilled"
-    EXPERT = "expert"
 
 
 class Pressure(str, Enum):
@@ -89,7 +83,6 @@ _PACE_IDX = {v: i for i, v in enumerate(PACES)}
 class WorkerProfile:
     """Fixed per-episode traits of the worker being personalised for."""
 
-    skill: Skill = Skill.SKILLED
     pace_preference: Pace = Pace.NORMAL
 
 
@@ -174,12 +167,18 @@ class ContextConfig:
     influences_worker: bool = True
 
 
+# 36 << 16 = 2,359,296 states, whose float64 Q-table over 5 actions takes
+# 94 MB; every further machine doubles both, so larger configs cannot be solved.
+MAX_MACHINES = 16
+
+
 @dataclass(frozen=True)
 class EnvParams:
     """Everything that defines one workshop instance.
 
     ``weights.w_worker`` must be strictly greater than both other weights:
-    the worker term is the prioritised one.
+    the worker term is the prioritised one.  At most ``MAX_MACHINES``
+    context elements.
     """
 
     gamma: float = 0.95
@@ -214,6 +213,8 @@ class EnvParams:
             if not 0.0 <= p <= 1.0:
                 raise InvalidParamsError(f"probability out of [0,1]: {p}")
         ids = [c.id for c in self.contexts]
+        if len(ids) > MAX_MACHINES:
+            raise InvalidParamsError(f"at most {MAX_MACHINES} machines, got {len(ids)}")
         if len(set(ids)) != len(ids):
             raise InvalidParamsError(f"context ids must be unique: {ids}")
 
@@ -665,67 +666,34 @@ class WorkshopEnv:
 # Config parsing (the `env` section of an experiment config)
 # ---------------------------------------------------------------------------
 
-_ENV_KEYS = {
-    "gamma",
-    "alpha",
-    "noise_p",
-    "horizon",
-    "weights",
-    "contexts",
-    "profile",
-    "seed",
-    "pressure_flip_p",
-    "machine_degrade_p",
-    "rewards",
-}
+
+def _from_config(cls, raw, where: str):
+    """An instance of the dataclass ``cls`` from the keys that ``raw`` sets,
+    each cast to its field's type.  Every other field keeps its default, and
+    unknown keys are rejected so that typos do not silently fall back to it."""
+    if not isinstance(raw, Mapping):
+        raise InvalidParamsError(f"{where} must be an object, got {raw!r}")
+    types = get_type_hints(cls)
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise InvalidParamsError(f"unknown {where} keys: {sorted(unknown)}")
+    return cls(**{key: _cast(types[key], value, f"{where}.{key}") for key, value in raw.items()})
 
 
-def profile_from_config(raw: Mapping) -> WorkerProfile:
-    try:
-        return WorkerProfile(
-            skill=Skill(raw.get("skill", Skill.SKILLED.value)),
-            pace_preference=Pace(raw.get("pace_preference", Pace.NORMAL.value)),
-        )
-    except ValueError as exc:
-        raise InvalidParamsError(f"bad profile: {exc}") from exc
+def _cast(tp, value, where: str):
+    if is_dataclass(tp):
+        return _from_config(tp, value, where)
+    if get_origin(tp) is tuple:  # tuple[ContextConfig, ...]
+        return tuple(_from_config(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    return tp(value)  # float, int, str, bool or an enum
 
 
 def env_params_from_config(raw: Mapping) -> tuple[EnvParams, WorkerProfile]:
-    """Build (EnvParams, WorkerProfile) from a plain config mapping; unknown
-    keys are rejected so that typos do not silently fall back to defaults."""
-    unknown = set(raw) - _ENV_KEYS
-    if unknown:
-        raise InvalidParamsError(f"unknown env config keys: {sorted(unknown)}")
-    weights_raw = raw.get("weights", {})
-    weights = RewardWeights(
-        w_worker=float(weights_raw.get("w_worker", 1.0)),
-        w_team=float(weights_raw.get("w_team", 0.5)),
-        w_context=float(weights_raw.get("w_context", 0.5)),
-    )
-    rewards_raw = raw.get("rewards", {})
-    rewards = RewardMagnitudes(
-        worker_match=float(rewards_raw.get("worker_match", 1.0)),
-        worker_mismatch=float(rewards_raw.get("worker_mismatch", -1.0)),
-        team_ok=float(rewards_raw.get("team_ok", 0.5)),
-        team_bad=float(rewards_raw.get("team_bad", -0.5)),
-        context_unsafe=float(rewards_raw.get("context_unsafe", -2.0)),
-    )
-    contexts_raw = raw.get("contexts", [{"id": "machine1", "influences_worker": True}])
-    contexts = tuple(
-        ContextConfig(str(c["id"]), bool(c.get("influences_worker", True)))
-        for c in contexts_raw
-    )
-    params = EnvParams(
-        gamma=float(raw.get("gamma", 0.95)),
-        alpha=float(raw.get("alpha", 0.9)),
-        noise_p=float(raw.get("noise_p", 0.1)),
-        horizon=int(raw.get("horizon", 50)),
-        weights=weights,
-        contexts=contexts,
-        seed=int(raw.get("seed", 0)),
-        pressure_flip_p=float(raw.get("pressure_flip_p", 0.1)),
-        machine_degrade_p=float(raw.get("machine_degrade_p", 0.05)),
-        rewards=rewards,
-    )
-    profile = profile_from_config(raw.get("profile", {}))
-    return params, profile
+    """Build (EnvParams, WorkerProfile) from the `env` section of a config:
+    its `profile` key holds the WorkerProfile fields, every other key is an
+    EnvParams field."""
+    if not isinstance(raw, Mapping):
+        raise InvalidParamsError(f"env must be an object, got {raw!r}")
+    rest = dict(raw)
+    profile = _from_config(WorkerProfile, rest.pop("profile", {}), "env.profile")
+    return _from_config(EnvParams, rest, "env"), profile

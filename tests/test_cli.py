@@ -60,6 +60,11 @@ class TestClassify:
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["classify", str(tmp_path / "nope.json")]) == 3
 
+    def test_non_utf8_file_exits_3(self, tmp_path):
+        bad = tmp_path / "graph.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["classify", str(bad)]) == 3
+
     def test_component_free_graph_exits_2(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"nodes": [], "edges": []}))
@@ -162,6 +167,11 @@ class TestTrain:
     def test_unparseable_config_exits_3(self, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text("{,}")
+        assert main(["train", str(bad), "--agent", "tabular"]) == 3
+
+    def test_non_utf8_config_exits_3(self, tmp_path):
+        bad = tmp_path / "cfg.json"
+        bad.write_bytes(b"\xff\xfe{}")
         assert main(["train", str(bad), "--agent", "tabular"]) == 3
 
     def test_uncreatable_output_dir_exits_3(self, quick_config, write_config, tmp_path):
@@ -274,7 +284,16 @@ class TestSweep:
 
     def test_non_numeric_values_exit_2(self, quick_config, write_config):
         path = write_config(quick_config)
-        assert main(["sweep", str(path), "--param", "env.gamma", "--values", "0.9,abc"]) == 2
+        for param, values in [
+            ("env.gamma", "0.9,abc"),
+            ("env.horizon", "inf"),  # an infinite value on an integer key
+            ("schedule.episodes", "inf"),
+            ("dqn.total_steps", "inf"),
+        ]:
+            assert main(["sweep", str(path), "--param", param, "--values", values]) == 2, param
+        quick_config["schedule"]["episodes"] = float("inf")  # written as Infinity
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 2
 
 
 class TestEmitPlotData:

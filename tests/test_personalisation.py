@@ -5,12 +5,10 @@ import pytest
 
 from cpssperso.meta_model import load_graph
 from cpssperso.personalisation import (
-    ContextBinding,
     Direction,
     DuplicateObjectiveError,
     ObjectiveSpec,
     PersoScenario,
-    PriorityViolationError,
     RoleCollisionError,
     UnknownSystemError,
     assemble_rl_task,
@@ -19,7 +17,7 @@ from cpssperso.personalisation import (
     objectives_from_config,
     scenario_from_dict,
 )
-from cpssperso.workshop_env import ACTIONS
+from cpssperso.workshop_env import ACTIONS, ContextConfig, EnvParams, env_params_from_config
 
 
 @pytest.fixture
@@ -27,12 +25,8 @@ def graph(workshop_graph_path):
     return load_graph(workshop_graph_path)
 
 
-ROLES = {
-    "user": "worker1",
-    "device": "cobot1",
-    "crowd": ["team1"],
-    "context": [{"id": "machine1", "influences_user": True}],
-}
+ROLES = {"user": "worker1", "device": "cobot1", "crowd": ["team1"]}
+PARAMS = EnvParams(contexts=(ContextConfig("machine1"),))
 
 
 def objective(oid, owner="cobot1", metric="throughput", direction="maximize", weight=1.0):
@@ -41,38 +35,39 @@ def objective(oid, owner="cobot1", metric="throughput", direction="maximize", we
 
 class TestBindRoles:
     def test_workshop_roles_bind_cleanly(self, graph):
-        result = bind_roles(graph, ROLES)
+        result = bind_roles(graph, ROLES, PARAMS)
         assert result.warnings == ()
         assert result.scenario.user == "worker1"
         assert result.scenario.device == "cobot1"
         assert result.scenario.crowd == ("team1",)
-        assert result.scenario.context == (ContextBinding("machine1", True),)
 
     def test_non_cpss_device_flagged(self, graph):
         roles = dict(ROLES, device="machine1")  # a CPS, no social actuation
-        result = bind_roles(graph, roles)
+        result = bind_roles(graph, roles, PARAMS)
         assert len(result.warnings) == 1
         assert "not a single-system CPSS" in result.warnings[0]
 
     def test_unknown_context_id_rejected(self, graph):
-        roles = dict(ROLES, context=[{"id": "ghost", "influences_user": True}])
+        params = EnvParams(contexts=(ContextConfig("machine1"), ContextConfig("ghost")))
         with pytest.raises(UnknownSystemError):
-            bind_roles(graph, roles)
+            bind_roles(graph, ROLES, params)
 
     def test_user_device_collision_rejected(self, graph):
         with pytest.raises(RoleCollisionError):
-            bind_roles(graph, dict(ROLES, device="worker1"))
+            bind_roles(graph, dict(ROLES, device="worker1"), PARAMS)
 
     def test_rebinding_serialized_scenario_is_identity(self, graph):
-        scenario = bind_roles(graph, ROLES).scenario
-        again = bind_roles(graph, scenario.to_dict()).scenario
+        scenario = bind_roles(graph, ROLES, PARAMS).scenario
+        again = bind_roles(graph, scenario.to_dict(), PARAMS).scenario
         assert again == scenario
 
     def test_dict_round_trip(self):
-        scenario = PersoScenario(
-            "worker1", "cobot1", ("team1",), (ContextBinding("machine1", False),), "ws"
-        )
+        scenario = PersoScenario("worker1", "cobot1", ("team1",), "ws")
         assert scenario_from_dict(scenario.to_dict()) == scenario
+
+    def test_leftover_context_list_rejected(self):
+        with pytest.raises(ValueError, match="context"):
+            scenario_from_dict(dict(ROLES, context=[{"id": "machine1"}]))
 
 
 class TestDetectConflicts:
@@ -125,42 +120,32 @@ class TestDetectConflicts:
 
 
 class TestAssembleRlTask:
-    ENV_SECTION = {
-        "gamma": 0.95,
-        "weights": {"w_worker": 1.0, "w_team": 0.5, "w_context": 0.5},
-    }
-
-    def scenario(self, influences=True):
-        return PersoScenario(
-            "worker1", "cobot1", ("team1",), (ContextBinding("machine1", influences),)
-        )
+    SCENARIO = PersoScenario("worker1", "cobot1", ("team1",))
 
     def test_default_scenario_composition(self):
-        task = assemble_rl_task(self.scenario(), [], self.ENV_SECTION)
+        task = assemble_rl_task(self.SCENARIO, [], PARAMS)
         assert task.state_composition == ("worker1", "team1", "machine1")
         assert [t.term_id for t in task.reward_terms] == ["worker", "team", "context:machine1"]
+        assert [t.weight for t in task.reward_terms] == [1.0, 0.5, 0.5]
         assert task.action_set == ACTIONS
         assert task.gamma == 0.95
 
     def test_non_influencing_context_excluded(self):
-        task = assemble_rl_task(self.scenario(influences=False), [], self.ENV_SECTION)
+        params = EnvParams(contexts=(ContextConfig("machine1", False),))
+        task = assemble_rl_task(self.SCENARIO, [], params)
         assert task.state_composition == ("worker1", "team1")
         assert [t.term_id for t in task.reward_terms] == ["worker", "team"]
 
-    def test_priority_violation_rejected(self):
-        env = {"gamma": 0.95, "weights": {"w_worker": 0.4, "w_team": 0.5, "w_context": 0.3}}
-        with pytest.raises(PriorityViolationError):
-            assemble_rl_task(self.scenario(), [], env)
-
     def test_user_weight_strictly_greatest_in_terms(self):
-        task = assemble_rl_task(self.scenario(), [], self.ENV_SECTION)
+        task = assemble_rl_task(self.SCENARIO, [], PARAMS)
         user_weight = task.reward_terms[0].weight
         assert all(user_weight > t.weight for t in task.reward_terms[1:])
 
     def test_matches_workshop_env_configuration(self, workshop_config, graph):
-        scenario = bind_roles(graph, workshop_config["roles"]).scenario
+        params, _profile = env_params_from_config(workshop_config["env"])
+        scenario = bind_roles(graph, workshop_config["roles"], params).scenario
         objectives = objectives_from_config(workshop_config["objectives"])
-        task = assemble_rl_task(scenario, objectives, workshop_config["env"])
+        task = assemble_rl_task(scenario, objectives, params)
         env_influencing = [
             c["id"]
             for c in workshop_config["env"]["contexts"]
@@ -169,3 +154,7 @@ class TestAssembleRlTask:
         task_contexts = [t.owner for t in task.reward_terms if t.term_id.startswith("context:")]
         assert task_contexts == env_influencing
         assert task.gamma == workshop_config["env"]["gamma"]
+        weights = workshop_config["env"]["weights"]
+        assert [t.weight for t in task.reward_terms] == [
+            weights["w_worker"], weights["w_team"], weights["w_context"]
+        ]

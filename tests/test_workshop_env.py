@@ -13,12 +13,12 @@ from cpssperso.workshop_env import (
     EnvParams,
     EpisodeOverError,
     InvalidParamsError,
+    MAX_MACHINES,
     MachineCondition,
     Observation,
     Pace,
     Pressure,
     RewardWeights,
-    Skill,
     TeamState,
     WorkerProfile,
     WorkerState,
@@ -78,13 +78,27 @@ class TestParams:
             EnvParams(**kwargs)
 
     def test_config_parsing_rejects_unknown_keys(self):
-        with pytest.raises(InvalidParamsError):
-            env_params_from_config({"gamma": 0.9, "horizn": 10})
+        for raw in [
+            {"gamma": 0.9, "horizn": 10},
+            {"weights": {"w_wroker": 0.1}},
+            {"rewards": {"team_okk": 0.5}},
+            {"profile": {"pace_preferense": "fast"}},
+            {"profile": {"skill": "skilled"}},
+            {"contexts": [{"id": "machine1", "influences_workr": False}]},
+        ]:
+            with pytest.raises(InvalidParamsError, match="unknown"):
+                env_params_from_config(raw)
 
     def test_config_round_trip_defaults(self):
         params, profile = env_params_from_config({})
         assert params == EnvParams()
-        assert profile == WorkerProfile(Skill.SKILLED, Pace.NORMAL)
+        assert profile == WorkerProfile(Pace.NORMAL)
+
+    def test_state_count_limit(self):
+        machines = tuple(ContextConfig(f"m{i}") for i in range(MAX_MACHINES))
+        assert num_states(EnvParams(contexts=machines)) == 2_359_296
+        with pytest.raises(InvalidParamsError, match="machines"):
+            env_params_from_config({"contexts": [{"id": f"m{i}"} for i in range(30)]})
 
 
 class TestWorkerNeed:
