@@ -30,6 +30,17 @@ def quick_config(workshop_config, write_config, tmp_path):
     return doc
 
 
+def three_machines(doc: dict) -> None:
+    """Turn a workshop config into three machines, the middle one not
+    influencing the worker, that degrade often enough to matter."""
+    doc["env"]["contexts"] = [
+        {"id": "machine1", "influences_worker": True},
+        {"id": "machine2", "influences_worker": False},
+        {"id": "machine3", "influences_worker": True},
+    ]
+    doc["env"]["machine_degrade_p"] = 0.2
+
+
 class TestClassify:
     def test_workshop_graph_is_true_cpss(self, workshop_graph_path, capsys):
         assert main(["classify", str(workshop_graph_path)]) == 0
@@ -115,31 +126,42 @@ class TestTrain:
             blobs.append((run_dir / "metrics.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    # sha256 of the tabular outputs on quick_config.  A change to the env, its
-    # caches or the state encoders must keep these outputs byte-identical.
-    # DQN is left out: its matmuls depend on the BLAS build.
+    # sha256 of the tabular outputs on quick_config and on its three-machine
+    # variant.  A change to the env, its caches or the state encoders must keep
+    # these outputs byte-identical.  DQN is left out: its matmuls depend on the
+    # BLAS build.
     PINNED_TABULAR = {
-        False: {
+        "full": {
             "metrics.csv": "7dcefa2d0e6de0f510453882a2248fc31b3f475effef1feea99cda3278c60210",
             "qtable.bin": "4173355682fbf5b0e99bf2aadf66d029a82e94bd7396b773267f09d336ab400a",
         },
-        True: {
+        "partial": {
             "metrics.csv": "b8b59e928631a3e41fbf23fd7bba862bd48643eb58db64f7f33fc9070fe71cf2",
             "qtable.bin": "5b434f3a9c3f5f210fa32355027fae2adb6c55c37e799440078ff384eedc6a2d",
         },
+        "k3-full": {
+            "metrics.csv": "f0c13865a714ac807fe3119959bec0869a8e92022de47f066aee8cd5b99735dd",
+            "qtable.bin": "6b4086d212b693cad810eb8db8bf69ae80d8e4fcbc08688cfe1fe42fb94d5962",
+        },
+        "k3-partial": {
+            "metrics.csv": "0c17607d13ed4e04ce67640b4e88c822acca95f5120fb743877c36cf6215bbb2",
+            "qtable.bin": "4ba7d82f8e9191ee8f0994b02004f2bf1af942bc275b16a22b20077250233c10",
+        },
     }
 
-    @pytest.mark.parametrize("partial_obs", [False, True], ids=["full", "partial"])
-    def test_tabular_outputs_match_pinned_hashes(self, quick_config, write_config, partial_obs):
+    @pytest.mark.parametrize("case", list(PINNED_TABULAR))
+    def test_tabular_outputs_match_pinned_hashes(self, quick_config, write_config, case):
+        if case.startswith("k3-"):
+            three_machines(quick_config)
         path = write_config(quick_config)
-        argv = ["train", str(path), "--agent", "tabular"] + (["--partial-obs"] if partial_obs else [])
+        argv = ["train", str(path), "--agent", "tabular"] + (["--partial-obs"] if case.endswith("partial") else [])
         assert main(argv) == 0
         run_dir = Path(quick_config["output_dir"]) / "quick"
         digests = {
             name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-            for name in self.PINNED_TABULAR[partial_obs]
+            for name in self.PINNED_TABULAR[case]
         }
-        assert digests == self.PINNED_TABULAR[partial_obs]
+        assert digests == self.PINNED_TABULAR[case]
 
     def test_dqn_run_writes_network(self, quick_config, write_config):
         path = write_config(quick_config)
@@ -269,6 +291,18 @@ class TestSweep:
         assert [float(r["value"]) for r in rows] == [0.6, 1.0, 2.0]
         match = [float(r["match_rate"]) for r in rows]
         assert all(a <= b + 1e-12 for a, b in zip(match, match[1:]))
+
+    # sha256 of the value-iteration sweep CSV on the three-machine config:
+    # pins the exact model, its solution and the rollouts that score it.
+    PINNED_VI_SWEEP = "12b560610294c609ad42ef885ca2b8964bce497bcc43b25201ad7d7bea227506"
+
+    def test_vi_sweep_matches_pinned_hash(self, quick_config, write_config):
+        three_machines(quick_config)
+        path = write_config(quick_config)
+        argv = ["sweep", str(path), "--param", "env.noise_p", "--values", "0.1,0.3", "--agent", "vi"]
+        assert main(argv) == 0
+        out_path = Path(quick_config["output_dir"]) / "quick" / "sweep_env_noise_p.csv"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.PINNED_VI_SWEEP
 
     def test_empty_values_exit_2(self, quick_config, write_config):
         path = write_config(quick_config)
