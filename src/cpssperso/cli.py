@@ -53,6 +53,7 @@ from .workshop_env import (
     EnvParams,
     WorkerProfile,
     WorkshopEnv,
+    dataclass_from_config,
     decode_state,
     env_params_from_config,
     num_states,
@@ -93,27 +94,21 @@ def config_hash(raw: Mapping) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _schedule_from_config(raw: Mapping) -> LearningSchedule:
+def _schedule_from_config(raw: Mapping, env_params: EnvParams) -> tuple[LearningSchedule, float]:
+    """The LearningSchedule that the `schedule` section sets, and its
+    ``initial_q``: a number or the string "optimistic" (horizon-limited
+    return bound), zeros by default.  Unknown keys are rejected."""
     try:
-        return LearningSchedule(
-            learning_rate=float(raw.get("learning_rate", 0.1)),
-            epsilon_start=float(raw.get("epsilon_start", 1.0)),
-            epsilon_end=float(raw.get("epsilon_end", 0.05)),
-            decay_steps=int(raw.get("decay_steps", 4000)),
-            episodes=int(raw.get("episodes", 5000)),
+        schedule = dataclass_from_config(
+            LearningSchedule, {k: v for k, v in raw.items() if k != "initial_q"}, "schedule"
         )
-    except (ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad schedule section: {exc}") from exc
-
-
-def _initial_q_from_config(raw: Mapping, env_params: EnvParams) -> float:
-    """The schedule's ``initial_q`` is a number or the string "optimistic"
-    (horizon-limited return bound); zeros by default."""
     value = raw.get("initial_q", 0.0)
     if value == "optimistic":
-        return optimistic_initial_value(env_params)
+        return schedule, optimistic_initial_value(env_params)
     try:
-        return float(value)
+        return schedule, float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad schedule.initial_q: {value!r}") from exc
 
@@ -121,6 +116,9 @@ def _initial_q_from_config(raw: Mapping, env_params: EnvParams) -> float:
 def parse_experiment_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be an object")
+    for section in ("env", "schedule", "dqn"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise ConfigError(f"{section} must be an object, got {raw[section]!r}")
     resolved = copy.deepcopy(raw)
     if seed_override is not None:
         resolved.setdefault("env", {})["seed"] = seed_override
@@ -129,8 +127,7 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
         env_params, profile = env_params_from_config(resolved.get("env", {}))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad env section: {exc}") from exc
-    schedule = _schedule_from_config(resolved.get("schedule", {}))
-    initial_q = _initial_q_from_config(resolved.get("schedule", {}), env_params)
+    schedule, initial_q = _schedule_from_config(resolved.get("schedule", {}), env_params)
     try:
         hp = dqn_mod.hyperparams_from_config(resolved.get("dqn", {}))
     except (TypeError, ValueError, OverflowError) as exc:

@@ -31,6 +31,7 @@ from .workshop_env import (
     PACES,
     MachineCondition,
     Pressure,
+    dataclass_from_config,
 )
 
 
@@ -304,20 +305,36 @@ class DqnHyperparams:
         return self.epsilon_start + f * (self.epsilon_end - self.epsilon_start)
 
 
+#: Key of the `dqn` config section -> DqnHyperparams field.  The `epsilon`
+#: object holds the epsilon_* fields under the keys of _EPSILON_KEYS.
+_DQN_KEYS = {
+    "hidden": "hidden",
+    "lr": "learning_rate",
+    "batch": "batch_size",
+    "buffer_capacity": "buffer_capacity",
+    "target_sync": "target_sync",
+    "total_steps": "total_steps",
+    "seed": "seed",
+    "epsilon": "epsilon",
+}
+_EPSILON_KEYS = {"start": "epsilon_start", "end": "epsilon_end", "decay_steps": "epsilon_decay_steps"}
+
+
+def _renamed(raw, keys: Mapping[str, str], where: str) -> dict:
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{where} must be an object, got {raw!r}")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    return {keys[key]: value for key, value in raw.items()}
+
+
 def hyperparams_from_config(raw: Mapping) -> DqnHyperparams:
-    eps = raw.get("epsilon", {})
-    return DqnHyperparams(
-        hidden=tuple(int(h) for h in raw.get("hidden", (32, 32))),
-        learning_rate=float(raw.get("lr", 1e-3)),
-        batch_size=int(raw.get("batch", 32)),
-        buffer_capacity=int(raw.get("buffer_capacity", 10_000)),
-        target_sync=int(raw.get("target_sync", 250)),
-        total_steps=int(raw.get("total_steps", 20_000)),
-        epsilon_start=float(eps.get("start", 1.0)),
-        epsilon_end=float(eps.get("end", 0.05)),
-        epsilon_decay_steps=int(eps.get("decay_steps", 10_000)),
-        seed=int(raw.get("seed", 0)),
-    )
+    """DqnHyperparams from the keys that the `dqn` section of a config sets;
+    every other field keeps its default, and unknown keys are rejected."""
+    fields = _renamed(raw, _DQN_KEYS, "dqn")
+    fields.update(_renamed(fields.pop("epsilon", {}), _EPSILON_KEYS, "dqn.epsilon"))
+    return dataclass_from_config(DqnHyperparams, fields, "dqn")
 
 
 @dataclass(frozen=True)

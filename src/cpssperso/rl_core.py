@@ -18,6 +18,7 @@ import numpy as np
 from .workshop_env import (
     ACTIONS,
     EnvParams,
+    FactoredModel,
     WorkerProfile,
     WorkshopEnv,
     decode_state,
@@ -25,7 +26,6 @@ from .workshop_env import (
     encode_state,
     num_states,
     reward_fn,
-    transition_model,
     worker_need,
 )
 
@@ -83,15 +83,13 @@ class FiniteMdp:
 
     @classmethod
     def from_env(cls, params: EnvParams, profile: WorkerProfile) -> "FiniteMdp":
-        """Enumerate the workshop into dense arrays (exact, no sampling)."""
-        n, a = num_states(params), len(ACTIONS)
-        p = np.zeros((n, a, n), dtype=np.float64)
-        r = np.zeros((n, a), dtype=np.float64)
-        for s in range(n):
+        """Enumerate the workshop into dense arrays (exact, no sampling):
+        transitions from the factored model, rewards from ``reward_fn``."""
+        p = FactoredModel(params, profile).dense()
+        r = np.zeros((num_states(params), len(ACTIONS)), dtype=np.float64)
+        for s in range(len(r)):
             state = decode_state(s, params)
             for ai, action in enumerate(ACTIONS):
-                for nxt, prob in transition_model(state, action, params, profile):
-                    p[s, ai, encode_state(nxt)] += prob
                 r[s, ai] = reward_fn(state, action, params, profile).total
         return cls(p, r)
 

@@ -8,11 +8,12 @@ a team throughput term, and per-machine safety penalties; the worker weight
 must strictly dominate the others.
 
 The transition structure is an explicit, fully enumerable distribution
-(`transition_model`), so exact solvers can sweep it, and the environment
-samples from exactly that distribution.  Worker states are also observable
-through a noisy inference channel: with probability ``alpha`` the observed
-worker state is the true one, otherwise it is uniform over the remaining
-worker states.
+(`transition_model`, the readable reference).  `FactoredModel` holds the same
+distribution as per-factor tables on integer state ids; the environment
+samples its rows and exact solvers build their dense matrix from it.  Worker
+states are also observable through a noisy inference channel: with
+probability ``alpha`` the observed worker state is the true one, otherwise
+it is uniform over the remaining worker states.
 """
 
 from __future__ import annotations
@@ -573,6 +574,106 @@ def initial_state(params: EnvParams, profile: WorkerProfile) -> WorkshopState:
 
 
 # ---------------------------------------------------------------------------
+# Factored transition model on integer state ids
+# ---------------------------------------------------------------------------
+
+
+def _nonzero(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.flatnonzero(row)
+    return ids, row[ids]
+
+
+class FactoredModel:
+    """``transition_model`` as per-factor tables on ``encode_state`` ids.
+
+    The worker sees the machines only through the flag "any influencing
+    machine degraded", so worker x pressure is one (36, 36) matrix per flag
+    and action, and every machine moves by the same outcomes per action.
+    The tables come from ``_worker_outcomes``, ``_pressure_outcomes`` and
+    ``_machine_outcomes``.  Products are taken in ``transition_model``'s
+    order, ``(p_worker * p_pressure) * ((m1 * m2) * ...)``, and zero outcomes
+    are dropped, so rows and the dense matrix are bit-equal to it.
+    """
+
+    def __init__(self, params: EnvParams, profile: WorkerProfile):
+        k = len(params.contexts)
+        self.num_machines = k
+        self.influence_mask = sum(
+            1 << (k - 1 - i) for i, c in enumerate(params.contexts) if c.influences_worker
+        )
+        n_w, n_a = len(WORKER_STATES), len(ACTIONS)
+        worker = np.zeros((2, n_a, n_w, n_w))
+        #: [action][machine bit]: (next machine bit, probability) pairs, ascending
+        self.machine: list[list[list[tuple[int, float]]]] = [[] for _ in ACTIONS]
+        # one influencing probe machine: its condition is the worker's flag
+        # and the current bit of the machine kernel
+        for flag, condition in enumerate((MachineCondition.OK, MachineCondition.DEGRADED)):
+            probe = ContextElement("probe", condition, True)
+            for a, action in enumerate(ACTIONS):
+                for w, ws in enumerate(WORKER_STATES):
+                    state = WorkshopState(ws, TeamState(Pressure.LOW), (probe,))
+                    for nxt, p in _worker_outcomes(state, action, params, profile):
+                        worker[flag, a, w, WORKER_INDEX[nxt]] = p
+                self.machine[a].append([
+                    (int(nxt is MachineCondition.DEGRADED), p)
+                    for nxt, p in _machine_outcomes(probe, action, params)
+                ])
+        pressure = np.zeros((2, 2))
+        for i, level in enumerate((Pressure.LOW, Pressure.HIGH)):
+            state = WorkshopState(WORKER_STATES[0], TeamState(level), ())
+            for nxt, p in _pressure_outcomes(state, params):
+                pressure[i, int(nxt is Pressure.HIGH)] = p
+        #: [flag, action, worker * 2 + pressure, next worker * 2 + next pressure]
+        self.worker_team = (worker[..., :, None, :, None] * pressure[:, None, :]).reshape(
+            2, n_a, 2 * n_w, 2 * n_w
+        )
+        #: the nonzero (ids, probabilities) of each row of ``worker_team``
+        self._worker_team_rows = [
+            [[_nonzero(row) for row in block] for block in per_flag] for per_flag in self.worker_team
+        ]
+
+    def _machines(self, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """Reachable next machine bits, ascending, and their probabilities."""
+        combos = [(0, 1.0)]
+        for shift in range(self.num_machines - 1, -1, -1):
+            outcomes = self.machine[a][(bits >> shift) & 1]
+            combos = [(i * 2 + j, p * q) for i, p in combos for j, q in outcomes]
+        return (
+            np.array([i for i, _ in combos], dtype=np.int64),
+            np.array([p for _, p in combos], dtype=np.float64),
+        )
+
+    def row(self, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """Next-state ids of (s, a), ascending, and their probabilities."""
+        k = self.num_machines
+        bits = s & ((1 << k) - 1)
+        wt_ids, wt_probs = self._worker_team_rows[(bits & self.influence_mask) != 0][a][s >> k]
+        m_ids, m_probs = self._machines(a, bits)
+        ids = ((wt_ids[:, None] << k) | m_ids).ravel()
+        probs = np.multiply.outer(wt_probs, m_probs).ravel()
+        keep = probs > 0.0
+        return ids[keep], probs[keep]
+
+    def dense(self) -> np.ndarray:
+        """The (S, A, S) transition matrix, written one (action, machine bits)
+        block at a time into its own view so that no full-size temporary
+        sits beside it."""
+        n_wt, n_a = self.worker_team.shape[2], self.worker_team.shape[1]
+        n_m = 1 << self.num_machines
+        p = np.empty((n_wt * n_m, n_a, n_wt * n_m))
+        blocks = p.reshape(n_wt, n_m, n_a, n_wt, n_m)
+        m_row = np.empty(n_m)
+        for a in range(n_a):
+            for bits in range(n_m):
+                m_ids, m_probs = self._machines(a, bits)
+                m_row.fill(0.0)
+                m_row[m_ids] = m_probs
+                wt = self.worker_team[int((bits & self.influence_mask) != 0), a]
+                np.multiply(wt[:, :, None], m_row, out=blocks[:, bits, a])
+        return p
+
+
+# ---------------------------------------------------------------------------
 # Environment
 # ---------------------------------------------------------------------------
 
@@ -594,6 +695,7 @@ class WorkshopEnv:
         self.profile = profile if profile is not None else WorkerProfile()
         self._rng = np.random.default_rng([params.seed, 0])
         self._state: WorkshopState | None = None
+        self._model = FactoredModel(params, self.profile)
         self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, RewardBreakdown]] = {}
         self._decoded: dict[int, WorkshopState] = {}
 
@@ -653,11 +755,9 @@ class WorkshopEnv:
         key = (s_idx, a_idx)
         row = self._rows.get(key)
         if row is None:
-            state, action = self._decode_cached(s_idx), ACTIONS[a_idx]
-            dist = transition_model(state, action, self.params, self.profile)
-            ids = np.array([encode_state(s) for s, _ in dist], dtype=np.int64)
-            cum = np.cumsum(np.array([p for _, p in dist], dtype=np.float64))
-            row = (ids, cum, reward_fn(state, action, self.params, self.profile))
+            ids, probs = self._model.row(s_idx, a_idx)
+            reward = reward_fn(self._decode_cached(s_idx), ACTIONS[a_idx], self.params, self.profile)
+            row = (ids, np.cumsum(probs), reward)
             self._rows[key] = row
         return row
 
@@ -667,7 +767,7 @@ class WorkshopEnv:
 # ---------------------------------------------------------------------------
 
 
-def _from_config(cls, raw, where: str):
+def dataclass_from_config(cls, raw, where: str):
     """An instance of the dataclass ``cls`` from the keys that ``raw`` sets,
     each cast to its field's type.  Every other field keeps its default, and
     unknown keys are rejected so that typos do not silently fall back to it."""
@@ -682,9 +782,11 @@ def _from_config(cls, raw, where: str):
 
 def _cast(tp, value, where: str):
     if is_dataclass(tp):
-        return _from_config(tp, value, where)
-    if get_origin(tp) is tuple:  # tuple[ContextConfig, ...]
-        return tuple(_from_config(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+        return dataclass_from_config(tp, value, where)
+    if get_origin(tp) is tuple:  # tuple[ContextConfig, ...] or tuple[int, ...]
+        return tuple(_cast(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if tp is bool and not isinstance(value, bool):
+        raise InvalidParamsError(f"{where} must be true or false, got {value!r}")
     return tp(value)  # float, int, str, bool or an enum
 
 
@@ -695,5 +797,5 @@ def env_params_from_config(raw: Mapping) -> tuple[EnvParams, WorkerProfile]:
     if not isinstance(raw, Mapping):
         raise InvalidParamsError(f"env must be an object, got {raw!r}")
     rest = dict(raw)
-    profile = _from_config(WorkerProfile, rest.pop("profile", {}), "env.profile")
-    return _from_config(EnvParams, rest, "env"), profile
+    profile = dataclass_from_config(WorkerProfile, rest.pop("profile", {}), "env.profile")
+    return dataclass_from_config(EnvParams, rest, "env"), profile

@@ -186,6 +186,30 @@ class TestTrain:
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "tabular"]) == 2
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("dqn", {"epsilon": 0.1}),
+            ("dqn", []),
+            ("schedule", [1]),
+            ("env", []),
+            ("schedule", {"episdoes": 10}),
+            ("dqn", {"totl_steps": 5}),
+            ("dqn", {"epsilon": {"strat": 1.0}}),
+        ],
+        ids=[
+            "dqn-epsilon-number", "dqn-list", "schedule-list", "env-list",
+            "schedule-typo", "dqn-typo", "dqn-epsilon-typo",
+        ],
+    )
+    @pytest.mark.parametrize("seed_override", [False, True], ids=["config-seed", "seed-override"])
+    def test_bad_section_exits_2(self, quick_config, write_config, monkeypatch, section, value, seed_override):
+        if seed_override:
+            monkeypatch.setenv("CPSSPERSO_SEED", "3")
+        quick_config[section] = value
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 2
+
     def test_unparseable_config_exits_3(self, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text("{,}")

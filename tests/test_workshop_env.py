@@ -78,15 +78,17 @@ class TestParams:
             EnvParams(**kwargs)
 
     def test_config_parsing_rejects_unknown_keys(self):
-        for raw in [
-            {"gamma": 0.9, "horizn": 10},
-            {"weights": {"w_wroker": 0.1}},
-            {"rewards": {"team_okk": 0.5}},
-            {"profile": {"pace_preferense": "fast"}},
-            {"profile": {"skill": "skilled"}},
-            {"contexts": [{"id": "machine1", "influences_workr": False}]},
+        for raw, match in [
+            ({"gamma": 0.9, "horizn": 10}, "unknown"),
+            ({"weights": {"w_wroker": 0.1}}, "unknown"),
+            ({"rewards": {"team_okk": 0.5}}, "unknown"),
+            ({"profile": {"pace_preferense": "fast"}}, "unknown"),
+            ({"profile": {"skill": "skilled"}}, "unknown"),
+            ({"contexts": [{"id": "machine1", "influences_workr": False}]}, "unknown"),
+            # a JSON string is not a boolean, whatever it says
+            ({"contexts": [{"id": "machine1", "influences_worker": "false"}]}, "true or false"),
         ]:
-            with pytest.raises(InvalidParamsError, match="unknown"):
+            with pytest.raises(InvalidParamsError, match=match):
                 env_params_from_config(raw)
 
     def test_config_round_trip_defaults(self):
