@@ -578,11 +578,6 @@ def initial_state(params: EnvParams, profile: WorkerProfile) -> WorkshopState:
 # ---------------------------------------------------------------------------
 
 
-def _nonzero(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.flatnonzero(row)
-    return ids, row[ids]
-
-
 class FactoredModel:
     """``transition_model`` as per-factor tables on ``encode_state`` ids.
 
@@ -627,10 +622,6 @@ class FactoredModel:
         self.worker_team = (worker[..., :, None, :, None] * pressure[:, None, :]).reshape(
             2, n_a, 2 * n_w, 2 * n_w
         )
-        #: the nonzero (ids, probabilities) of each row of ``worker_team``
-        self._worker_team_rows = [
-            [[_nonzero(row) for row in block] for block in per_flag] for per_flag in self.worker_team
-        ]
 
     def _machines(self, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Reachable next machine bits, ascending, and their probabilities."""
@@ -647,10 +638,11 @@ class FactoredModel:
         """Next-state ids of (s, a), ascending, and their probabilities."""
         k = self.num_machines
         bits = s & ((1 << k) - 1)
-        wt_ids, wt_probs = self._worker_team_rows[(bits & self.influence_mask) != 0][a][s >> k]
+        wt = self.worker_team[int((bits & self.influence_mask) != 0), a, s >> k]
+        wt_ids = np.flatnonzero(wt)
         m_ids, m_probs = self._machines(a, bits)
         ids = ((wt_ids[:, None] << k) | m_ids).ravel()
-        probs = np.multiply.outer(wt_probs, m_probs).ravel()
+        probs = np.multiply.outer(wt[wt_ids], m_probs).ravel()
         keep = probs > 0.0
         return ids[keep], probs[keep]
 
