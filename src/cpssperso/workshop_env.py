@@ -599,7 +599,7 @@ class FactoredModel:
         n_w, n_a = len(WORKER_STATES), len(ACTIONS)
         worker = np.zeros((2, n_a, n_w, n_w))
         #: [action][machine bit]: (next machine bit, probability) pairs, ascending
-        self.machine: list[list[list[tuple[int, float]]]] = [[] for _ in ACTIONS]
+        self.machine_outcomes: list[list[list[tuple[int, float]]]] = [[] for _ in ACTIONS]
         # one influencing probe machine: its condition is the worker's flag
         # and the current bit of the machine kernel
         for flag, condition in enumerate((MachineCondition.OK, MachineCondition.DEGRADED)):
@@ -609,7 +609,7 @@ class FactoredModel:
                     state = WorkshopState(ws, TeamState(Pressure.LOW), (probe,))
                     for nxt, p in _worker_outcomes(state, action, params, profile):
                         worker[flag, a, w, WORKER_INDEX[nxt]] = p
-                self.machine[a].append([
+                self.machine_outcomes[a].append([
                     (int(nxt is MachineCondition.DEGRADED), p)
                     for nxt, p in _machine_outcomes(probe, action, params)
                 ])
@@ -623,11 +623,16 @@ class FactoredModel:
             2, n_a, 2 * n_w, 2 * n_w
         )
 
+    def _worker_team(self, a: int, bits: int) -> np.ndarray:
+        """The (36, 36) worker x pressure kernel of action ``a`` next to the
+        machine bits ``bits``."""
+        return self.worker_team[int((bits & self.influence_mask) != 0), a]
+
     def _machines(self, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Reachable next machine bits, ascending, and their probabilities."""
         combos = [(0, 1.0)]
         for shift in range(self.num_machines - 1, -1, -1):
-            outcomes = self.machine[a][(bits >> shift) & 1]
+            outcomes = self.machine_outcomes[a][(bits >> shift) & 1]
             combos = [(i * 2 + j, p * q) for i, p in combos for j, q in outcomes]
         return (
             np.array([i for i, _ in combos], dtype=np.int64),
@@ -638,7 +643,7 @@ class FactoredModel:
         """Next-state ids of (s, a), ascending, and their probabilities."""
         k = self.num_machines
         bits = s & ((1 << k) - 1)
-        wt = self.worker_team[int((bits & self.influence_mask) != 0), a, s >> k]
+        wt = self._worker_team(a, bits)[s >> k]
         wt_ids = np.flatnonzero(wt)
         m_ids, m_probs = self._machines(a, bits)
         ids = ((wt_ids[:, None] << k) | m_ids).ravel()
@@ -650,7 +655,7 @@ class FactoredModel:
         """The (S, A, S) transition matrix, written one (action, machine bits)
         block at a time into its own view so that no full-size temporary
         sits beside it."""
-        n_wt, n_a = self.worker_team.shape[2], self.worker_team.shape[1]
+        _, n_a, n_wt, _ = self.worker_team.shape
         n_m = 1 << self.num_machines
         p = np.empty((n_wt * n_m, n_a, n_wt * n_m))
         blocks = p.reshape(n_wt, n_m, n_a, n_wt, n_m)
@@ -660,8 +665,7 @@ class FactoredModel:
                 m_ids, m_probs = self._machines(a, bits)
                 m_row.fill(0.0)
                 m_row[m_ids] = m_probs
-                wt = self.worker_team[int((bits & self.influence_mask) != 0), a]
-                np.multiply(wt[:, :, None], m_row, out=blocks[:, bits, a])
+                np.multiply(self._worker_team(a, bits)[:, :, None], m_row, out=blocks[:, bits, a])
         return p
 
 
