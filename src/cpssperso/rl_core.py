@@ -1,7 +1,7 @@
 """Tabular solvers for the workshop Q-function.
 
-Exact value iteration sweeps the enumerated transition model to the Bellman
-fixed point; tabular Q-learning approaches the same fixed point from sampled
+Exact value iteration sweeps the Bellman operator of the enumerated model to
+its fixed point; tabular Q-learning approaches the same fixed point from sampled
 transitions; both share the greedy/epsilon-greedy readout.  A finished
 Q-table can be persisted as a flat binary array with a small header.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,11 @@ from .workshop_env import (
     FactoredModel,
     WorkerProfile,
     WorkshopEnv,
-    decode_state,
     encode_observation,
     encode_state,
-    num_states,
-    reward_fn,
+    reward_table,
     worker_need,
+    worker_need_ids,
 )
 
 
@@ -62,12 +62,18 @@ class QTable:
         return QTable(self.values.copy())
 
 
-@dataclass(frozen=True)
 class FiniteMdp:
-    """Dense MDP arrays: transitions (S, A, S) and expected rewards (S, A)."""
+    """A finite MDP: expected rewards (S, A) and the expectation operator
+    ``expect(v)[s, a] = sum_s' P(s' | s, a) v[s']``.  Built by hand from a
+    dense transitions array (S, A, S), whose product with ``v`` is the
+    operator; ``from_env`` gives the workshop in factored form instead."""
 
-    transitions: np.ndarray
-    rewards: np.ndarray
+    def __init__(self, transitions: np.ndarray, rewards: np.ndarray):
+        self.transitions = transitions
+        self.rewards = rewards
+
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        return self.transitions @ v
 
     @property
     def num_states(self) -> int:
@@ -82,16 +88,28 @@ class FiniteMdp:
         return float(np.max(np.abs(self.rewards))) if self.rewards.size else 0.0
 
     @classmethod
-    def from_env(cls, params: EnvParams, profile: WorkerProfile) -> "FiniteMdp":
-        """Enumerate the workshop into dense arrays (exact, no sampling):
-        transitions from the factored model, rewards from ``reward_fn``."""
-        p = FactoredModel(params, profile).dense()
-        r = np.zeros((num_states(params), len(ACTIONS)), dtype=np.float64)
-        for s in range(len(r)):
-            state = decode_state(s, params)
-            for ai, action in enumerate(ACTIONS):
-                r[s, ai] = reward_fn(state, action, params, profile).total
-        return cls(p, r)
+    def from_env(cls, params: EnvParams, profile: WorkerProfile) -> "WorkshopMdp":
+        """The workshop, exactly (no sampling): its factored transition
+        model and its reward table."""
+        return WorkshopMdp(FactoredModel(params, profile), reward_table(params, profile))
+
+
+class WorkshopMdp(FiniteMdp):
+    """The workshop as its ``FactoredModel`` plus the (S, A) rewards.
+    ``expect`` never builds the dense matrix; ``transitions`` builds it with
+    ``FactoredModel.dense()`` on first read and keeps it, as an oracle for
+    tests and checks."""
+
+    def __init__(self, model: FactoredModel, rewards: np.ndarray):
+        self.model = model
+        self.rewards = rewards
+
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        return self.model.dense()
+
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        return self.model.expect(v)
 
 
 def value_iteration(
@@ -100,14 +118,15 @@ def value_iteration(
     """Full-backup iteration of the Bellman optimality operator from zero.
 
     Stops once the max-norm change between sweeps is <= tolerance, which
-    bounds the Bellman residual of the result by gamma * tolerance.
+    bounds the Bellman residual of the result by gamma * tolerance.  Reads
+    only ``mdp.rewards`` and ``mdp.expect``.
     """
     if tolerance <= 0:
         raise InvalidToleranceError(f"tolerance must be positive, got {tolerance}")
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0,1), got {gamma}")
     q = np.zeros_like(mdp.rewards)
-    rmax = mdp.rmax
+    rmax = float(np.max(np.abs(mdp.rewards), initial=0.0))
     if rmax == 0.0:
         return QTable(q)
     max_sweeps = (
@@ -116,7 +135,7 @@ def value_iteration(
         else 1
     )
     for _ in range(max(max_sweeps, 1) + 2):
-        nxt = mdp.rewards + gamma * (mdp.transitions @ q.max(axis=1))
+        nxt = mdp.rewards + gamma * mdp.expect(q.max(axis=1))
         delta = float(np.max(np.abs(nxt - q)))
         q = nxt
         if delta <= tolerance:
@@ -125,8 +144,9 @@ def value_iteration(
 
 
 def bellman_residual(q: QTable, mdp: FiniteMdp, gamma: float) -> float:
-    """Max-norm deviation from the Bellman fixed point; 0 iff q is optimal."""
-    backup = mdp.rewards + gamma * (mdp.transitions @ q.values.max(axis=1))
+    """Max-norm deviation from the Bellman fixed point; 0 iff q is optimal.
+    Reads only ``mdp.rewards`` and ``mdp.expect``."""
+    backup = mdp.rewards + gamma * mdp.expect(q.values.max(axis=1))
     return float(np.max(np.abs(q.values - backup)))
 
 
@@ -337,13 +357,8 @@ def exact_match_rate(
 ) -> float:
     """Fraction of the enumerated state space where the policy picks the
     worker-need action (no sampling)."""
-    n = num_states(params)
-    hits = 0
-    for s in range(n):
-        state = decode_state(s, params)
-        if ACTIONS[int(policy_actions[s])] is worker_need(state, profile):
-            hits += 1
-    return hits / n
+    need = worker_need_ids(params, profile)
+    return int(np.count_nonzero(np.asarray(policy_actions) == need)) / len(need)
 
 
 # ---------------------------------------------------------------------------

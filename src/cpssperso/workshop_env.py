@@ -10,7 +10,8 @@ must strictly dominate the others.
 The transition structure is an explicit, fully enumerable distribution
 (`transition_model`, the readable reference).  `FactoredModel` holds the same
 distribution as per-factor tables on integer state ids; the environment
-samples its rows and exact solvers build their dense matrix from it.  Worker
+samples its rows, and exact solvers take expectations from it factor by
+factor, with ``reward_table`` as their rewards.  Worker
 states are also observable through a noisy inference channel: with
 probability ``alpha`` the observed worker state is the true one, otherwise
 it is uniform over the remaining worker states.
@@ -18,6 +19,7 @@ it is uniform over the remaining worker states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -578,6 +580,12 @@ def initial_state(params: EnvParams, profile: WorkerProfile) -> WorkshopState:
 # ---------------------------------------------------------------------------
 
 
+#: Machine bits per Kronecker power in ``FactoredModel.expect``: a (32, 32)
+#: matrix, a few times more flops than one 2 x 2 pass per bit but one matrix
+#: product in place of five rounds of array operations.
+_KRON_BITS = 5
+
+
 class FactoredModel:
     """``transition_model`` as per-factor tables on ``encode_state`` ids.
 
@@ -587,15 +595,13 @@ class FactoredModel:
     The tables come from ``_worker_outcomes``, ``_pressure_outcomes`` and
     ``_machine_outcomes``.  Products are taken in ``transition_model``'s
     order, ``(p_worker * p_pressure) * ((m1 * m2) * ...)``, and zero outcomes
-    are dropped, so rows and the dense matrix are bit-equal to it.
+    are dropped, so rows and the dense matrix are bit-equal to it.  ``expect``
+    takes expectations under the kernel without building that matrix.
     """
 
     def __init__(self, params: EnvParams, profile: WorkerProfile):
-        k = len(params.contexts)
-        self.num_machines = k
-        self.influence_mask = sum(
-            1 << (k - 1 - i) for i, c in enumerate(params.contexts) if c.influences_worker
-        )
+        self.num_machines = len(params.contexts)
+        self.influence_mask = _influence_mask(params)
         n_w, n_a = len(WORKER_STATES), len(ACTIONS)
         worker = np.zeros((2, n_a, n_w, n_w))
         #: [action][machine bit]: (next machine bit, probability) pairs, ascending
@@ -667,6 +673,99 @@ class FactoredModel:
                 m_row[m_ids] = m_probs
                 np.multiply(self._worker_team(a, bits)[:, :, None], m_row, out=blocks[:, bits, a])
         return p
+
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        """``dense() @ v`` as an (S, A) array, without building the dense
+        matrix: each action's machine kernel is applied to ``v`` over the
+        machine bits, then its worker x pressure kernel over the worker and
+        pressure, with the kernel of each machine-bit column's flag.  The
+        sums run in another order than the matrix product's, so the two
+        agree to rounding, not bit for bit."""
+        _, n_a, n_wt, _ = self.worker_team.shape
+        n_m = 1 << self.num_machines
+        flags = (np.arange(n_m) & self.influence_mask) != 0
+        # every column takes the kernel of the commoner flag, then the
+        # columns of the other flag are done again with their own
+        major = int(2 * np.count_nonzero(flags) > n_m)
+        minor = np.flatnonzero(flags != major)
+        out = np.empty((n_a, n_wt, n_m))
+        for actions, powers in self._machine_kernels:
+            u = v.reshape(n_wt, n_m)
+            for power in powers:
+                # sum over the lowest bits, then move them to the front so
+                # that the next ones are lowest; after the last, the order is back
+                n = len(power)
+                u = (u.reshape(-1, n) @ power.T).reshape(n_wt, -1, n).transpose(0, 2, 1)
+            u = u.reshape(n_wt, n_m)
+            out[actions] = self.worker_team[major, actions] @ u
+            if minor.size:
+                block = np.ix_(actions, np.arange(n_wt), minor)
+                out[block] = self.worker_team[1 - major, actions] @ u[:, minor]
+        return out.transpose(1, 2, 0).reshape(-1, n_a)
+
+    @functools.cached_property
+    def _machine_kernels(self) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+        """The actions that share each distinct (bit, next bit) machine
+        kernel, and Kronecker powers of that kernel that together cover the
+        machine bits, ``_KRON_BITS`` bits at most each."""
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for a, outcomes in enumerate(self.machine_outcomes):
+            kernel = np.zeros((2, 2))
+            for bit, pairs in enumerate(outcomes):
+                for nxt, p in pairs:
+                    kernel[bit, nxt] = p
+            groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
+        full, rest = divmod(self.num_machines, _KRON_BITS)
+        chunks = [_KRON_BITS] * full + ([rest] if rest else [])
+        return [
+            (np.array(actions), [functools.reduce(np.kron, [kernel] * g) for g in chunks])
+            for kernel, actions in groups.values()
+        ]
+
+
+def _influence_mask(params: EnvParams) -> int:
+    """The machine bits of the influencing machines: machine ``i`` of the
+    config is bit ``k - 1 - i`` of a state id."""
+    k = len(params.contexts)
+    return sum(1 << (k - 1 - i) for i, c in enumerate(params.contexts) if c.influences_worker)
+
+
+def worker_need_ids(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
+    """The action index of ``worker_need`` for every state id, from an
+    (18, 2) table over the worker and the flag "any influencing machine
+    degraded", the only way the rule sees the machines."""
+    table = np.empty((len(WORKER_STATES), 2), dtype=np.intp)
+    for flag, condition in enumerate((MachineCondition.OK, MachineCondition.DEGRADED)):
+        probe = (ContextElement("probe", condition, True),)
+        for w, ws in enumerate(WORKER_STATES):
+            need = worker_need(WorkshopState(ws, TeamState(Pressure.LOW), probe), profile)
+            table[w, flag] = ACTION_INDEX[need]
+    k = len(params.contexts)
+    flags = (np.arange(1 << k) & _influence_mask(params)) != 0
+    # state id = (worker * 2 + pressure) << k | machine bits
+    return np.repeat(table[:, flags.astype(np.intp)], 2, axis=0).ravel()
+
+
+def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
+    """``reward_fn(...).total`` for every (state id, action index), as an
+    (S, A) array.  Each term is built from its factors and they are summed
+    with the float operations of ``composite_total``, in its order, so the
+    table is bit-equal to ``reward_fn``."""
+    mags, weights = params.rewards, params.weights
+    k = len(params.contexts)
+    ids = np.arange(num_states(params))[:, None]
+    actions = np.arange(len(ACTIONS))
+    matched = worker_need_ids(params, profile)[:, None] == actions
+    r_worker = np.where(matched, float(mags.worker_match), float(mags.worker_mismatch))
+    held_under_pressure = ((ids >> k) & 1 == 1) & (actions == ACTION_INDEX[Action.HOLD])
+    r_team = np.where(held_under_pressure, float(mags.team_bad), float(mags.team_ok))
+    total = weights.w_worker * r_worker + weights.w_team * r_team
+    unsafe = np.isin(actions, [ACTION_INDEX[a] for a in _UNSAFE_ACTIONS])
+    for i, c in enumerate(params.contexts):
+        if c.influences_worker:
+            degraded = (ids >> (k - 1 - i)) & 1 == 1
+            total += weights.w_context * np.where(degraded & unsafe, float(mags.context_unsafe), 0.0)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +882,9 @@ def _cast(tp, value, where: str):
         return tuple(_cast(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is bool and not isinstance(value, bool):
         raise InvalidParamsError(f"{where} must be true or false, got {value!r}")
+    if tp is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        # int() would truncate 2.5 to 2 and count true as 1
+        raise InvalidParamsError(f"{where} must be an integer, got {value!r}")
     return tp(value)  # float, int, str, bool or an enum
 
 

@@ -196,10 +196,16 @@ class TestTrain:
             ("schedule", {"episdoes": 10}),
             ("dqn", {"totl_steps": 5}),
             ("dqn", {"epsilon": {"strat": 1.0}}),
+            # integer fields take neither fractions nor booleans
+            ("env", {"horizon": 2.5}),
+            ("env", {"horizon": True}),
+            ("schedule", {"episodes": 10.7}),
+            ("dqn", {"batch": True, "buffer_capacity": 32}),
         ],
         ids=[
             "dqn-epsilon-number", "dqn-list", "schedule-list", "env-list",
             "schedule-typo", "dqn-typo", "dqn-epsilon-typo",
+            "env-fraction", "env-bool", "schedule-fraction", "dqn-bool",
         ],
     )
     @pytest.mark.parametrize("seed_override", [False, True], ids=["config-seed", "seed-override"])
@@ -345,6 +351,7 @@ class TestSweep:
         for param, values in [
             ("env.gamma", "0.9,abc"),
             ("env.horizon", "inf"),  # an infinite value on an integer key
+            ("env.horizon", "2.5"),  # a fraction on an integer key
             ("schedule.episodes", "inf"),
             ("dqn.total_steps", "inf"),
         ]:

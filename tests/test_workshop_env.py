@@ -91,6 +91,13 @@ class TestParams:
             with pytest.raises(InvalidParamsError, match=match):
                 env_params_from_config(raw)
 
+    def test_config_parsing_takes_only_integers_on_int_fields(self):
+        for raw in ({"horizon": 2.5}, {"horizon": True}, {"seed": False}, {"horizon": float("nan")}):
+            with pytest.raises(InvalidParamsError, match="integer"):
+                env_params_from_config(raw)
+        params, _ = env_params_from_config({"horizon": 5.0, "seed": 3})
+        assert (params.horizon, params.seed) == (5, 3) and type(params.horizon) is int
+
     def test_config_round_trip_defaults(self):
         params, profile = env_params_from_config({})
         assert params == EnvParams()
