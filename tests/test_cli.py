@@ -128,8 +128,7 @@ class TestTrain:
 
     # sha256 of the tabular outputs on quick_config and on its three-machine
     # variant.  A change to the env, its caches or the state encoders must keep
-    # these outputs byte-identical.  DQN is left out: its matmuls depend on the
-    # BLAS build.
+    # these outputs byte-identical.
     PINNED_TABULAR = {
         "full": {
             "metrics.csv": "7dcefa2d0e6de0f510453882a2248fc31b3f475effef1feea99cda3278c60210",
@@ -162,6 +161,44 @@ class TestTrain:
             for name in self.PINNED_TABULAR[case]
         }
         assert digests == self.PINNED_TABULAR[case]
+
+    # sha256 of the DQN outputs on the same four configs.  These also pin the
+    # draw order of the env, the exploration and the replay streams, which a
+    # comparison of two runs of the same code cannot see.  The network's
+    # matmuls go through BLAS, so the bytes may differ on another BLAS build;
+    # the digests were taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31.
+    PINNED_DQN = {
+        "k1-full": {
+            "metrics.csv": "4ba70379e009fd577e69b2fa71a16b79ad3d561911566fc29d643e3adcf59512",
+            "network.bin": "5e01add900c47b592f43745fe20470fd273c78404c0391135a1685156d29cf66",
+        },
+        "k1-partial": {
+            "metrics.csv": "44faf42576f84d3900c14743942def7e0dcae76f2c70c61cf853c4448c50aefa",
+            "network.bin": "9e658269ac270e2fa2e9882c3829355189fbd17556b6959e38b78d3282b2de41",
+        },
+        "k3-full": {
+            "metrics.csv": "b56cd65640e00ad4e77b4804f6d2e52f3de5fa275476c44fa6ba8009af965dac",
+            "network.bin": "ac2c2778747b72cf643cb149e2846cabda259e2109443238d78d8e530a175fb8",
+        },
+        "k3-partial": {
+            "metrics.csv": "ebf0a12b4cfcffad9c81bbe9607384eefb855c0738b820141036436aba393122",
+            "network.bin": "4cd25c01d2c405f244f84c23a27fb4295ca38d7645dc291f7e833ed09d1fefe2",
+        },
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED_DQN))
+    def test_dqn_outputs_match_pinned_hashes(self, quick_config, write_config, case):
+        if case.startswith("k3-"):
+            three_machines(quick_config)
+        path = write_config(quick_config)
+        argv = ["train", str(path), "--agent", "dqn"] + (["--partial-obs"] if case.endswith("partial") else [])
+        assert main(argv) == 0
+        run_dir = Path(quick_config["output_dir"]) / "quick"
+        digests = {
+            name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in self.PINNED_DQN[case]
+        }
+        assert digests == self.PINNED_DQN[case]
 
     def test_dqn_run_writes_network(self, quick_config, write_config):
         path = write_config(quick_config)
