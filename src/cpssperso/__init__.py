@@ -58,7 +58,6 @@ from .workshop_env import (  # noqa: F401
     EnvParams,
     EpisodeOverError,
     InvalidParamsError,
-    Observation,
     RewardBreakdown,
     WorkerProfile,
     WorkerState,

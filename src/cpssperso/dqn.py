@@ -22,7 +22,6 @@ import numpy as np
 
 from .workshop_env import (
     ACTIONS,
-    Observation,
     WorkerProfile,
     WorkshopEnv,
     WorkshopState,
@@ -251,12 +250,6 @@ def encode_features(state: WorkshopState, profile: WorkerProfile) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def encode_observation_features(obs: Observation, profile: WorkerProfile) -> np.ndarray:
-    return encode_features(
-        WorkshopState(obs.inferred_worker, obs.team, obs.contexts), profile
-    )
-
-
 def _one_hot(index: int, size: int) -> np.ndarray:
     v = np.zeros(size)
     v[index] = 1.0
@@ -365,14 +358,9 @@ def train_dqn(
     explore_rng = np.random.default_rng([hp.seed, 1])
     replay_rng = np.random.default_rng([hp.seed, 3])
 
-    def featurize(state: WorkshopState, obs: Observation) -> np.ndarray:
-        if partial_obs:
-            return encode_observation_features(obs, env.profile)
-        return encode_features(state, env.profile)
-
     metrics: list[StepMetrics] = []
     state, obs = env.reset()
-    features = featurize(state, obs)
+    features = encode_features(obs if partial_obs else state, env.profile)
     ep_return = 0.0
     last_loss = 0.0
     for step in range(hp.total_steps):
@@ -382,7 +370,7 @@ def train_dqn(
         else:
             a = int(np.argmax(forward(params, features)))
         state, obs, reward, done = env.step(ACTIONS[a])
-        next_features = featurize(state, obs)
+        next_features = encode_features(obs if partial_obs else state, env.profile)
         # horizon truncation is not a terminal state: bootstrap normally
         buffer.push(ReplayItem(features, a, reward.total, next_features, False))
         ep_return += reward.total
@@ -404,7 +392,7 @@ def train_dqn(
         if done:
             metrics.append(StepMetrics(step + 1, ep_return, last_loss, eps))
             state, obs = env.reset()
-            features = featurize(state, obs)
+            features = encode_features(obs if partial_obs else state, env.profile)
             ep_return = 0.0
     return params, metrics
 

@@ -22,7 +22,6 @@ from .workshop_env import (
     FactoredModel,
     WorkerProfile,
     WorkshopEnv,
-    encode_observation,
     encode_state,
     reward_table,
     worker_need,
@@ -267,13 +266,13 @@ def train_tabular(
     for episode in range(schedule.episodes):
         eps = schedule.epsilon_at(episode)
         state, obs = env.reset()
-        s = encode_observation(obs) if partial_obs else encode_state(state)
+        s = encode_state(obs if partial_obs else state)
         ep_return = 0.0
         max_td = 0.0
         for _ in range(env.params.horizon):
             a = epsilon_greedy(q, s, eps, rng)
             state, obs, reward, done = env.step(ACTIONS[a])
-            s_next = encode_observation(obs) if partial_obs else encode_state(state)
+            s_next = encode_state(obs if partial_obs else state)
             td = q_update(
                 q, s, a, reward.total, s_next, schedule.learning_rate, gamma
             )

@@ -11,10 +11,11 @@ The transition structure is an explicit, fully enumerable distribution
 (`transition_model`, the readable reference).  `FactoredModel` holds the same
 distribution as per-factor tables on integer state ids; the environment
 samples its rows, and exact solvers take expectations from it factor by
-factor, with ``reward_table`` as their rewards.  Worker
-states are also observable through a noisy inference channel: with
+factor, with ``reward_table`` as their rewards.  What the cobot perceives
+is a ``WorkshopState`` too, read through a noisy inference channel: with
 probability ``alpha`` the observed worker state is the true one, otherwise
-it is uniform over the remaining worker states.
+it is uniform over the remaining worker states; team and machines are read
+exactly.  States carry no time: the environment counts the steps.
 """
 
 from __future__ import annotations
@@ -122,17 +123,6 @@ class ContextElement:
 @dataclass(frozen=True, slots=True)
 class WorkshopState:
     worker: WorkerState
-    team: TeamState
-    contexts: tuple[ContextElement, ...]
-    step_index: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class Observation:
-    """What the cobot perceives: an inferred worker state (noisy channel)
-    plus exact team and context readings."""
-
-    inferred_worker: WorkerState
     team: TeamState
     contexts: tuple[ContextElement, ...]
 
@@ -430,8 +420,7 @@ def transition_model(
     ``1 - noise_p`` (noise lands on a uniform neighbour of the target);
     mismatched actions degrade the most-violated dimension.  Team pressure
     flips independently, machines degrade independently and are repaired by
-    assist.  Step indices are dropped: the distribution lives on the tabular
-    (time-free) space.
+    assist.
     """
     worker_out = _worker_outcomes(state, action, params, profile)
     pressure_out = _pressure_outcomes(state, params)
@@ -452,7 +441,7 @@ def transition_model(
                 contexts = tuple(
                     replace(c, machine=m) for c, m in zip(state.contexts, bits)
                 )
-                nxt = WorkshopState(w, TeamState(pr), contexts, 0)
+                nxt = WorkshopState(w, TeamState(pr), contexts)
                 key = encode_state(nxt)
                 if key in acc:
                     acc[key] = (nxt, acc[key][1] + prob)
@@ -511,13 +500,12 @@ def reward_fn(
 
 
 # ---------------------------------------------------------------------------
-# State encoding (bijection onto [0, num_states), step index excluded)
+# State encoding (bijection onto [0, num_states))
 # ---------------------------------------------------------------------------
 
 
 def encode_state(state: WorkshopState) -> int:
-    """Lexicographic index over (emotional, load, pace, pressure, machines);
-    the step index is not part of the tabular state."""
+    """Lexicographic index over (emotional, load, pace, pressure, machines)."""
     idx = WORKER_INDEX[state.worker]
     idx = idx * 2 + (0 if state.team.pressure is Pressure.LOW else 1)
     for c in state.contexts:
@@ -525,13 +513,8 @@ def encode_state(state: WorkshopState) -> int:
     return idx
 
 
-def encode_observation(obs: Observation) -> int:
-    """Index of the state the observation claims, on the same ordering."""
-    return encode_state(WorkshopState(obs.inferred_worker, obs.team, obs.contexts))
-
-
 def decode_state(index: int, params: EnvParams) -> WorkshopState:
-    """Inverse of encode_state (step index 0)."""
+    """Inverse of encode_state."""
     total = num_states(params)
     if not 0 <= index < total:
         raise IndexError(f"state index {index} out of range [0, {total})")
@@ -555,7 +538,6 @@ def decode_state(index: int, params: EnvParams) -> WorkshopState:
         worker,
         TeamState(Pressure.HIGH if pressure_bit else Pressure.LOW),
         contexts,
-        0,
     )
 
 
@@ -572,7 +554,7 @@ def initial_state(params: EnvParams, profile: WorkerProfile) -> WorkshopState:
         ContextElement(c.id, MachineCondition.OK, c.influences_worker)
         for c in params.contexts
     )
-    return WorkshopState(worker, TeamState(Pressure.LOW), contexts, 0)
+    return WorkshopState(worker, TeamState(Pressure.LOW), contexts)
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +762,9 @@ class WorkshopEnv:
     ``reset()`` starts a new episode on the continuing stream, while
     ``reset(seed=...)`` reseeds first (two environments built from equal
     params produce bit-identical trajectories for equal action sequences).
-    Instances are single-threaded; run independent instances in parallel.
+    The current state is held as its ``encode_state`` id, next to the count
+    of steps taken in the episode.  Instances are single-threaded; run
+    independent instances in parallel.
     """
 
     num_actions = len(ACTIONS)
@@ -789,7 +773,9 @@ class WorkshopEnv:
         self.params = params
         self.profile = profile if profile is not None else WorkerProfile()
         self._rng = np.random.default_rng([params.seed, 0])
-        self._state: WorkshopState | None = None
+        self._start = encode_state(initial_state(params, self.profile))
+        self._s: int | None = None
+        self._t = 0
         self._model = FactoredModel(params, self.profile)
         self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, RewardBreakdown]] = {}
         self._decoded: dict[int, WorkshopState] = {}
@@ -798,44 +784,41 @@ class WorkshopEnv:
     def num_states(self) -> int:
         return num_states(self.params)
 
-    @property
-    def state(self) -> WorkshopState | None:
-        return self._state
-
-    def reset(self, seed: int | None = None) -> tuple[WorkshopState, Observation]:
+    def reset(self, seed: int | None = None) -> tuple[WorkshopState, WorkshopState]:
+        """Start an episode; returns the initial state and its observation."""
         if seed is not None:
             self._rng = np.random.default_rng([seed, 0])
-        self._state = initial_state(self.params, self.profile)
-        return self._state, self.observe(self._state)
+        self._s, self._t = self._start, 0
+        state = self._decode_cached(self._start)
+        return state, self.observe(state)
 
-    def observe(self, state: WorkshopState) -> Observation:
-        """Sample the inference channel for ``state`` (consumes the stream)."""
-        true_idx = WORKER_INDEX[state.worker]
+    def observe(self, state: WorkshopState) -> WorkshopState:
+        """Sample the inference channel for ``state`` (consumes the stream):
+        ``state`` itself when the worker is read correctly, otherwise
+        ``state`` with a misread worker."""
         if self._rng.random() < self.params.alpha:
-            inferred = state.worker
-        else:
-            j = int(self._rng.integers(len(WORKER_STATES) - 1))
-            if j >= true_idx:
-                j += 1
-            inferred = WORKER_STATES[j]
-        return Observation(inferred, state.team, state.contexts)
+            return state
+        j = int(self._rng.integers(len(WORKER_STATES) - 1))
+        if j >= WORKER_INDEX[state.worker]:
+            j += 1
+        return WorkshopState(WORKER_STATES[j], state.team, state.contexts)
 
     def step(
         self, action: Action
-    ) -> tuple[WorkshopState, Observation, RewardBreakdown, bool]:
-        if self._state is None:
+    ) -> tuple[WorkshopState, WorkshopState, RewardBreakdown, bool]:
+        """Take ``action``; returns the next state, its observation, the
+        reward and whether the horizon is reached."""
+        if self._s is None:
             raise EpisodeOverError("call reset() before step()")
-        t = self._state.step_index
-        if t >= self.params.horizon:
+        if self._t >= self.params.horizon:
             raise EpisodeOverError(f"episode is over (horizon {self.params.horizon})")
-        next_ids, cum, reward = self._row(encode_state(self._state), ACTION_INDEX[action])
+        next_ids, cum, reward = self._row(self._s, ACTION_INDEX[action])
         u = self._rng.random()
         k = min(int(np.searchsorted(cum, u, side="right")), len(next_ids) - 1)
-        nxt = replace(self._decode_cached(int(next_ids[k])), step_index=t + 1)
-        obs = self.observe(nxt)
-        done = t + 1 >= self.params.horizon
-        self._state = nxt
-        return nxt, obs, reward, done
+        self._s = int(next_ids[k])
+        self._t += 1
+        nxt = self._decode_cached(self._s)
+        return nxt, self.observe(nxt), reward, self._t >= self.params.horizon
 
     def _decode_cached(self, index: int) -> WorkshopState:
         st = self._decoded.get(index)

@@ -275,7 +275,7 @@ def test_10_observation_channel_accuracy():
     env = WorkshopEnv(EnvParams(alpha=alpha, seed=5), PROFILE)
     state, _ = env.reset()
     n = 100_000
-    hits = sum(env.observe(state).inferred_worker == state.worker for _ in range(n))
+    hits = sum(env.observe(state).worker == state.worker for _ in range(n))
     se = math.sqrt(alpha * (1.0 - alpha) / n)
     ok = abs(hits / n - alpha) <= 3.0 * se
     report(10, "inference channel accuracy within 3 standard errors", ok, t0, budget=30.0)

@@ -10,7 +10,6 @@ from cpssperso.dqn import (
     ReplayItem,
     ShapeError,
     encode_features,
-    encode_observation_features,
     feature_size,
     forward,
     forward_batch,
@@ -24,10 +23,10 @@ from cpssperso.dqn import (
 )
 from cpssperso.workshop_env import (
     EnvParams,
-    Observation,
     WorkerProfile,
     WorkerState,
     WorkshopEnv,
+    WorkshopState,
     decode_state,
     Emotion,
     CognitiveLoad,
@@ -258,14 +257,13 @@ class TestFeatures:
         assert all(b.sum() == 1.0 for b in blocks)
 
     def test_observation_features_use_inferred_worker(self):
-        params = EnvParams()
-        state = decode_state(0, params)
-        obs = Observation(
+        state = decode_state(0, EnvParams())
+        obs = WorkshopState(
             WorkerState(Emotion.STRESSED, CognitiveLoad.HIGH, Pace.FAST),
             state.team,
             state.contexts,
         )
-        f = encode_observation_features(obs, PROFILE)
+        f = encode_features(obs, PROFILE)
         assert f[1] == 1.0 and f[4] == 1.0 and f[7] == 1.0
 
 

@@ -15,7 +15,6 @@ from cpssperso.workshop_env import (
     InvalidParamsError,
     MAX_MACHINES,
     MachineCondition,
-    Observation,
     Pace,
     Pressure,
     RewardWeights,
@@ -26,7 +25,6 @@ from cpssperso.workshop_env import (
     WorkshopState,
     composite_total,
     decode_state,
-    encode_observation,
     encode_state,
     enumerate_states,
     env_params_from_config,
@@ -281,16 +279,6 @@ class TestEncoding:
         with pytest.raises(IndexError):
             decode_state(-1, EnvParams())
 
-    def test_observation_encoding_uses_inferred_worker(self):
-        state = make_state()
-        obs = Observation(
-            inferred_worker=WorkerState(Emotion.STRESSED, CognitiveLoad.LOW, Pace.NORMAL),
-            team=state.team,
-            contexts=state.contexts,
-        )
-        swapped = replace(state, worker=obs.inferred_worker)
-        assert encode_observation(obs) == encode_state(swapped)
-
 
 class TestEnv:
     def test_reset_returns_documented_initial_state(self):
@@ -299,12 +287,11 @@ class TestEnv:
         assert state.worker == WorkerState(Emotion.CALM, CognitiveLoad.LOW, Pace.FAST)
         assert state.team.pressure is Pressure.LOW
         assert all(c.machine is MachineCondition.OK for c in state.contexts)
-        assert state.step_index == 0
 
     def test_perfect_inference_observes_truth(self):
         env = WorkshopEnv(EnvParams(alpha=1.0))
         state, obs = env.reset()
-        assert obs.inferred_worker == state.worker
+        assert obs == state
 
     def test_equal_seeds_give_identical_trajectories(self):
         actions = [ACTIONS[i % 5] for i in range(50)]
@@ -315,7 +302,7 @@ class TestEnv:
             run = []
             for a in actions:
                 state, obs, reward, done = env.step(a)
-                run.append((encode_state(state), encode_observation(obs), reward.total, done))
+                run.append((encode_state(state), encode_state(obs), reward.total, done))
             trajectories.append(run)
         assert trajectories[0] == trajectories[1]
 
@@ -324,10 +311,10 @@ class TestEnv:
         seqs = []
         for _ in range(2):
             _, obs = env.reset(seed=99)
-            seq = [obs.inferred_worker]
+            seq = [obs.worker]
             for _ in range(20):
                 _, obs, _, _ = env.step(Action.HOLD)
-                seq.append(obs.inferred_worker)
+                seq.append(obs.worker)
             seqs.append(seq)
         assert seqs[0] == seqs[1]
 
@@ -349,12 +336,14 @@ class TestEnv:
         env = WorkshopEnv(EnvParams(alpha=alpha, seed=1))
         state, _ = env.reset()
         n = 30_000
-        hits = sum(env.observe(state).inferred_worker == state.worker for _ in range(n))
+        hits = sum(env.observe(state).worker == state.worker for _ in range(n))
         se = math.sqrt(alpha * (1 - alpha) / n)
         assert abs(hits / n - alpha) <= 3 * se
 
     def test_wrong_inferences_are_spread_over_other_states(self):
         env = WorkshopEnv(EnvParams(alpha=0.1, seed=2))
         state, _ = env.reset()
-        seen = {env.observe(state).inferred_worker for _ in range(5_000)}
-        assert len(seen) == 18
+        observed = [env.observe(state) for _ in range(5_000)]
+        assert len({obs.worker for obs in observed}) == 18
+        # team and machines are read exactly
+        assert all(obs.team == state.team and obs.contexts == state.contexts for obs in observed)
