@@ -16,6 +16,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import sys
@@ -96,7 +97,7 @@ def config_hash(raw: Mapping) -> str:
 
 def _schedule_from_config(raw: Mapping, env_params: EnvParams) -> tuple[LearningSchedule, float]:
     """The LearningSchedule that the `schedule` section sets, and its
-    ``initial_q``: a number or the string "optimistic" (horizon-limited
+    ``initial_q``: a finite number or the string "optimistic" (horizon-limited
     return bound), zeros by default.  Unknown keys are rejected."""
     try:
         schedule = dataclass_from_config(
@@ -107,10 +108,9 @@ def _schedule_from_config(raw: Mapping, env_params: EnvParams) -> tuple[Learning
     value = raw.get("initial_q", 0.0)
     if value == "optimistic":
         return schedule, optimistic_initial_value(env_params)
-    try:
-        return schedule, float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad schedule.initial_q: {value!r}") from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"bad schedule.initial_q: {value!r}")
+    return schedule, float(value)
 
 
 def parse_experiment_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:

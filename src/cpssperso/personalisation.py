@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .meta_model import SosGraph, SystemKind, classify_system
-from .workshop_env import ACTIONS, Action, EnvParams
+from .workshop_env import ACTIONS, Action, EnvParams, dataclass_from_config
 
 
 class UnknownSystemError(ValueError):
@@ -74,28 +74,19 @@ def scenario_from_dict(raw: Mapping) -> PersoScenario:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
+    """A stakeholder's objective.  It carries no weight: the reward weights
+    are defined once, by ``EnvParams.weights``."""
+
     id: str
     owner: str
     metric: str
     direction: Direction
-    weight: float
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"objective weight must be positive, got {self.weight}")
 
 
 def objectives_from_config(raw: Sequence[Mapping]) -> list[ObjectiveSpec]:
-    return [
-        ObjectiveSpec(
-            id=str(o["id"]),
-            owner=str(o["owner"]),
-            metric=str(o["metric"]),
-            direction=Direction(str(o["direction"])),
-            weight=float(o.get("weight", 1.0)),
-        )
-        for o in raw
-    ]
+    """One ObjectiveSpec per entry of the `objectives` list; every key is
+    required and unknown keys, ``weight`` among them, are rejected."""
+    return [dataclass_from_config(ObjectiveSpec, o, f"objectives[{i}]") for i, o in enumerate(raw)]
 
 
 @dataclass(frozen=True)

@@ -865,9 +865,13 @@ def _cast(tp, value, where: str):
         return tuple(_cast(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is bool and not isinstance(value, bool):
         raise InvalidParamsError(f"{where} must be true or false, got {value!r}")
-    if tp is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-        # int() would truncate 2.5 to 2 and count true as 1
-        raise InvalidParamsError(f"{where} must be an integer, got {value!r}")
+    if tp is int or tp is float:
+        # the casts would read true as 1 and "7" as 7, and int() would
+        # truncate 2.5 to 2
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or (tp is int and isinstance(value, float) and not value.is_integer()):
+            kind = "an integer" if tp is int else "a number"
+            raise InvalidParamsError(f"{where} must be {kind}, got {value!r}")
     return tp(value)  # float, int, str, bool or an enum
 
 

@@ -238,11 +238,20 @@ class TestTrain:
             ("env", {"horizon": True}),
             ("schedule", {"episodes": 10.7}),
             ("dqn", {"batch": True, "buffer_capacity": 32}),
+            # numeric fields take neither booleans nor strings
+            ("env", {"noise_p": True}),
+            ("env", {"horizon": "7"}),
+            ("schedule", {"learning_rate": "0.5"}),
+            ("dqn", {"hidden": ["16", 8]}),
+            ("schedule", {"initial_q": "0.5"}),
+            ("schedule", {"initial_q": float("inf")}),
         ],
         ids=[
             "dqn-epsilon-number", "dqn-list", "schedule-list", "env-list",
             "schedule-typo", "dqn-typo", "dqn-epsilon-typo",
             "env-fraction", "env-bool", "schedule-fraction", "dqn-bool",
+            "env-float-bool", "env-int-string", "schedule-float-string",
+            "dqn-hidden-string", "initial-q-string", "initial-q-infinite",
         ],
     )
     @pytest.mark.parametrize("seed_override", [False, True], ids=["config-seed", "seed-override"])
@@ -250,6 +259,20 @@ class TestTrain:
         if seed_override:
             monkeypatch.setenv("CPSSPERSO_SEED", "3")
         quick_config[section] = value
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda o: o.update(weight=0.8),  # the weights live in env.weights
+            lambda o: o.update(ownr=o.pop("owner")),
+            lambda o: o.pop("metric"),
+        ],
+        ids=["weight", "typo", "missing"],
+    )
+    def test_bad_objective_exits_2(self, quick_config, write_config, edit):
+        edit(quick_config["objectives"][-1])
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "tabular"]) == 2
 

@@ -29,8 +29,8 @@ ROLES = {"user": "worker1", "device": "cobot1", "crowd": ["team1"]}
 PARAMS = EnvParams(contexts=(ContextConfig("machine1"),))
 
 
-def objective(oid, owner="cobot1", metric="throughput", direction="maximize", weight=1.0):
-    return ObjectiveSpec(oid, owner, metric, Direction(direction), weight)
+def objective(oid, owner="cobot1", metric="throughput", direction="maximize"):
+    return ObjectiveSpec(oid, owner, metric, Direction(direction))
 
 
 class TestBindRoles:

@@ -90,8 +90,11 @@ class TestParams:
                 env_params_from_config(raw)
 
     def test_config_parsing_takes_only_integers_on_int_fields(self):
-        for raw in ({"horizon": 2.5}, {"horizon": True}, {"seed": False}, {"horizon": float("nan")}):
+        for raw in ({"horizon": 2.5}, {"horizon": True}, {"seed": False}, {"horizon": float("nan")}, {"horizon": "7"}):
             with pytest.raises(InvalidParamsError, match="integer"):
+                env_params_from_config(raw)
+        for raw in ({"noise_p": True}, {"gamma": "0.9"}, {"weights": {"w_team": "0.5"}}):
+            with pytest.raises(InvalidParamsError, match="number"):
                 env_params_from_config(raw)
         params, _ = env_params_from_config({"horizon": 5.0, "seed": 3})
         assert (params.horizon, params.seed) == (5, 3) and type(params.horizon) is int
