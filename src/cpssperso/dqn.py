@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .rl_core import linear_decay
 from .workshop_env import (
     ACTIONS,
     WorkerProfile,
@@ -292,10 +293,7 @@ class DqnHyperparams:
             raise ValueError("epsilon_end must not exceed epsilon_start")
 
     def epsilon_at(self, step: int) -> float:
-        if self.epsilon_decay_steps <= 0:
-            return self.epsilon_end
-        f = min(1.0, step / self.epsilon_decay_steps)
-        return self.epsilon_start + f * (self.epsilon_end - self.epsilon_start)
+        return linear_decay(self.epsilon_start, self.epsilon_end, self.epsilon_decay_steps, step)
 
 
 #: Key of the `dqn` config section -> DqnHyperparams field.  The `epsilon`

@@ -213,10 +213,16 @@ class LearningSchedule:
             raise ValueError("decay_steps and episodes must be non-negative")
 
     def epsilon_at(self, episode: int) -> float:
-        if self.decay_steps <= 0:
-            return self.epsilon_end
-        f = min(1.0, episode / self.decay_steps)
-        return self.epsilon_start + f * (self.epsilon_end - self.epsilon_start)
+        return linear_decay(self.epsilon_start, self.epsilon_end, self.decay_steps, episode)
+
+
+def linear_decay(start: float, end: float, steps: int, t: int) -> float:
+    """``start`` moved linearly to ``end`` over the first ``steps`` of ``t``,
+    then ``end``; the exploration schedule of both learners."""
+    if steps <= 0:
+        return end
+    f = min(1.0, t / steps)
+    return start + f * (end - start)
 
 
 @dataclass(frozen=True)

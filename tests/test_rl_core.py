@@ -203,6 +203,7 @@ class TestSchedule:
         assert s.epsilon_at(50) == pytest.approx(0.525)
         assert s.epsilon_at(100) == pytest.approx(0.05)
         assert s.epsilon_at(199) == pytest.approx(0.05)
+        assert LearningSchedule(epsilon_end=0.2, decay_steps=0).epsilon_at(0) == 0.2
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ValueError):
