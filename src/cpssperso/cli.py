@@ -108,7 +108,11 @@ def _schedule_from_config(raw: Mapping, env_params: EnvParams) -> tuple[Learning
     value = raw.get("initial_q", 0.0)
     if value == "optimistic":
         return schedule, optimistic_initial_value(env_params)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    try:  # isfinite takes no string and no integer too large for a float
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
         raise ConfigError(f"bad schedule.initial_q: {value!r}")
     return schedule, float(value)
 

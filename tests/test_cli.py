@@ -245,13 +245,14 @@ class TestTrain:
             ("dqn", {"hidden": ["16", 8]}),
             ("schedule", {"initial_q": "0.5"}),
             ("schedule", {"initial_q": float("inf")}),
+            ("schedule", {"initial_q": 10**400}),
         ],
         ids=[
             "dqn-epsilon-number", "dqn-list", "schedule-list", "env-list",
             "schedule-typo", "dqn-typo", "dqn-epsilon-typo",
             "env-fraction", "env-bool", "schedule-fraction", "dqn-bool",
             "env-float-bool", "env-int-string", "schedule-float-string",
-            "dqn-hidden-string", "initial-q-string", "initial-q-infinite",
+            "dqn-hidden-string", "initial-q-string", "initial-q-infinite", "initial-q-huge",
         ],
     )
     @pytest.mark.parametrize("seed_override", [False, True], ids=["config-seed", "seed-override"])
