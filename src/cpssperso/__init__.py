@@ -75,7 +75,6 @@ from .dqn import (  # noqa: F401
     DqnHyperparams,
     MlpParams,
     ReplayBuffer,
-    ReplayItem,
     forward,
     loss_and_grad,
     sgd_step,

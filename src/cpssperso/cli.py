@@ -164,6 +164,8 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             seed_override = int(override)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer: {override!r}") from exc
+        if seed_override < 0:
+            raise ConfigError(f"{SEED_ENV_VAR} must be non-negative: {override!r}")
     return parse_experiment_config(raw, seed_override)
 
 
@@ -399,10 +401,10 @@ def sweep_param(
     rows = []
     for i, value in enumerate(values):
         doc = copy.deepcopy(cfg.raw)
-        node, key = _resolve_key(doc, param)
-        node[key] = int(value) if original_is_int and float(value).is_integer() else float(value)
         doc.setdefault("env", {})["seed"] = base_seed + i
         doc.setdefault("dqn", {})["seed"] = base_seed + i
+        node, key = _resolve_key(doc, param)  # a swept seed key takes the swept value
+        node[key] = int(value) if original_is_int and float(value).is_integer() else float(value)
         point = parse_experiment_config(doc)
         params, profile = point.env_params, point.profile
         if agent == "vi":
@@ -565,6 +567,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command!r}")
     except (ConfigError, InvalidSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except dqn_mod.DivergenceError as exc:
+        print(f"error: dqn training diverged: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, GraphFormatError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ MlpParams are treated as immutable and can be shared for evaluation.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,9 +30,9 @@ from .workshop_env import (
     EMOTIONS,
     LOADS,
     PACES,
-    MachineCondition,
-    Pressure,
+    WORKER_STATES,
     dataclass_from_config,
+    encode_state,
 )
 
 
@@ -40,63 +41,97 @@ class ShapeError(ValueError):
 
 
 class EmptyBatchError(ValueError):
-    """loss_and_grad called with no replay items."""
+    """loss_and_grad called with an empty batch."""
 
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite parameter."""
 
 
-@dataclass
 class MlpParams:
-    """Per-layer weight matrices (out x in) and bias vectors."""
+    """Per-layer weight matrices (out x in) and bias vectors, all views of
+    one flat float64 vector in file order (w0, b0, w1, b1, ...).  Built from
+    the per-layer arrays, which are copied, or with ``from_flat`` around an
+    existing vector, which is not."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases):
-            raise ShapeError("weights and biases must pair up")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if len(weights) != len(biases) or not weights:
+            raise ShapeError("weights and biases must pair up, one layer at least")
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape}")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
                 raise ShapeError(
                     f"layer {i} input dim {w.shape[1]} != layer {i-1} output "
-                    f"dim {self.weights[i - 1].shape[0]}"
+                    f"dim {weights[i - 1].shape[0]}"
                 )
+        sizes = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
+        self._bind(sizes, np.concatenate([part for w, b in zip(weights, biases) for part in (w.ravel(), b)]))
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+    @classmethod
+    def from_flat(cls, layer_sizes: Sequence[int], flat: np.ndarray) -> "MlpParams":
+        """The network of ``layer_sizes`` whose parameters are ``flat``
+        itself (a float64 vector in file order), not a copy."""
+        params = cls.__new__(cls)
+        params._bind(tuple(int(n) for n in layer_sizes), flat)
+        return params
+
+    def _bind(self, sizes: tuple[int, ...], flat: np.ndarray) -> None:
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ShapeError(f"need at least input and output sizes, each positive: {sizes}")
+        if flat.dtype != np.float64 or flat.shape != (_num_params(sizes),):
+            raise ShapeError(
+                f"expected {_num_params(sizes)} float64 parameters, got {flat.dtype} {flat.shape}"
+            )
+        self.layer_sizes = sizes
+        self.flat = flat
+        self.weights, self.biases = _layer_views(sizes, flat)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.layer_sizes[0]
 
     @property
     def num_actions(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.layer_sizes[-1]
 
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpParams.from_flat(self.layer_sizes, self.flat.copy())
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
+        return bool(np.isfinite(self.flat).all())
+
+
+def _num_params(layer_sizes: Sequence[int]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def _layer_views(
+    layer_sizes: Sequence[int], flat: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The weight matrices (out x in) and bias vectors of a flat vector in
+    file order, as views of it."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[off : off + fan_in * fan_out].reshape(fan_out, fan_in))
+        off += fan_in * fan_out
+        biases.append(flat[off : off + fan_out])
+        off += fan_out
+    return weights, biases
 
 
 def init_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> MlpParams:
     """Symmetric uniform init in +-sqrt(6 / (fan_in + fan_out)), zero biases."""
     if len(layer_sizes) < 2:
         raise ShapeError("need at least input and output sizes")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    params = MlpParams.from_flat(layer_sizes, np.zeros(_num_params(layer_sizes)))
+    for w in params.weights:
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
+        w[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return params
 
 
 def forward(params: MlpParams, features: np.ndarray) -> np.ndarray:
@@ -120,105 +155,109 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class ReplayItem:
-    state_features: np.ndarray
-    action_index: int
-    reward: float
-    next_state_features: np.ndarray
-    done: bool
-
-
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with a uniform sampler."""
+    """Fixed-capacity ring of transitions (state id, action index, reward,
+    next state id) in four preallocated arrays, with a uniform sampler.
 
-    def __init__(self, capacity: int):
+    The arrays hold ``min(capacity, max_pushes)`` rows, so a capacity far
+    above the pushes a run makes costs nothing; with fewer rows than the
+    capacity, a push past the last row is an error rather than a wrap."""
+
+    def __init__(self, capacity: int, max_pushes: int | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._items: list[ReplayItem] = []
+        rows = capacity if max_pushes is None else min(capacity, max_pushes)
+        self.states = np.zeros(rows, dtype=np.int64)
+        self.actions = np.zeros(rows, dtype=np.int64)
+        self.rewards = np.zeros(rows, dtype=np.float64)
+        self.next_states = np.zeros(rows, dtype=np.int64)
+        self._len = 0
         self._cursor = 0
 
-    def push(self, item: ReplayItem) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._cursor] = item
-        self._cursor = (self._cursor + 1) % self.capacity
+    def push(self, s: int, a: int, r: float, s_next: int) -> None:
+        i = self._cursor
+        if i == len(self.states) and i < self.capacity:
+            raise ValueError(f"replay buffer was sized for {i} pushes")
+        self.states[i] = s
+        self.actions[i] = a
+        self.rewards[i] = r
+        self.next_states[i] = s_next
+        self._cursor = (i + 1) % self.capacity
+        if self._len < self.capacity:
+            self._len += 1
 
-    def sample(self, size: int, rng: np.random.Generator) -> list[ReplayItem]:
-        if size > len(self._items):
-            raise ValueError(f"cannot sample {size} items from buffer of {len(self._items)}")
-        idx = rng.integers(len(self._items), size=size)
-        return [self._items[int(i)] for i in idx]
+    def sample(
+        self, size: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(state ids, actions, rewards, next state ids) of ``size`` rows
+        drawn uniformly with replacement, in one ``integers`` draw."""
+        if size > self._len:
+            raise ValueError(f"cannot sample {size} items from buffer of {self._len}")
+        idx = rng.integers(self._len, size=size)
+        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    def items(self) -> list[ReplayItem]:
-        return list(self._items)
+        return self._len
 
 
 def loss_and_grad(
     params: MlpParams,
     target_params: MlpParams,
-    batch: Sequence[ReplayItem],
+    x: np.ndarray,
+    actions: np.ndarray,
+    rewards: np.ndarray,
+    next_x: np.ndarray,
+    done: np.ndarray,
     gamma: float,
-) -> tuple[float, MlpParams]:
-    """Mean squared Bellman residual over the batch and its exact gradient.
+) -> tuple[float, np.ndarray]:
+    """Mean squared Bellman residual over a batch and its exact gradient, a
+    flat vector in the layout of ``params.flat``.
 
-    Targets are r for done items, else r + gamma * max_a' Q(s'; target
-    params); no gradient flows through the target network.
+    The batch is its feature rows ``x`` (N, input_dim), action indices,
+    rewards, next feature rows and done flags.  Targets are r for done
+    rows, else r + gamma * max_a' Q(s'; target params); no gradient flows
+    through the target network.
     """
-    if len(batch) == 0:
-        raise EmptyBatchError("need at least one replay item")
-    n = len(batch)
-    x = np.stack([np.asarray(it.state_features, dtype=np.float64) for it in batch])
-    xn = np.stack([np.asarray(it.next_state_features, dtype=np.float64) for it in batch])
-    actions = np.array([it.action_index for it in batch], dtype=np.int64)
-    rewards = np.array([it.reward for it in batch], dtype=np.float64)
-    done = np.array([it.done for it in batch], dtype=bool)
-
-    q_next = forward_batch(target_params, xn).max(axis=1)
+    n = len(x)
+    if n == 0:
+        raise EmptyBatchError("need at least one transition")
+    q_next = forward_batch(target_params, next_x).max(axis=1)
     y = rewards + gamma * np.where(done, 0.0, q_next)
 
     # forward pass keeping pre-activations for the backward sweep
     last = len(params.weights) - 1
-    activations = [x]
+    activations = [np.asarray(x, dtype=np.float64)]
     pre: list[np.ndarray] = []
-    h = x
+    h = activations[0]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T + b
         pre.append(z)
         h = np.maximum(z, 0.0) if i < last else z
         activations.append(h)
 
-    q_sa = h[np.arange(n), actions]
+    rows = np.arange(n)
+    q_sa = h[rows, actions]
     delta = q_sa - y
     loss = float(np.mean(delta**2))
 
     g = np.zeros_like(h)
-    g[np.arange(n), actions] = 2.0 * delta / n
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
+    g[rows, actions] = 2.0 * delta / n
+    grad = np.empty_like(params.flat)
+    grad_w, grad_b = _layer_views(params.layer_sizes, grad)
     for i in range(last, -1, -1):
-        grad_w[i] = g.T @ activations[i]
-        grad_b[i] = g.sum(axis=0)
+        np.matmul(g.T, activations[i], out=grad_w[i])
+        g.sum(axis=0, out=grad_b[i])
         if i > 0:
             g = (g @ params.weights[i]) * (pre[i - 1] > 0.0)
-    return loss, MlpParams(grad_w, grad_b)
+    return loss, grad
 
 
-def sgd_step(params: MlpParams, grads: MlpParams, learning_rate: float) -> MlpParams:
-    """theta <- theta - lr * grad, elementwise; returns fresh arrays."""
-    if params.layer_sizes != grads.layer_sizes:
-        raise ShapeError(
-            f"gradient shape {grads.layer_sizes} != parameter shape {params.layer_sizes}"
-        )
-    return MlpParams(
-        [w - learning_rate * gw for w, gw in zip(params.weights, grads.weights)],
-        [b - learning_rate * gb for b, gb in zip(params.biases, grads.biases)],
-    )
+def sgd_step(params: MlpParams, grad: np.ndarray, learning_rate: float) -> None:
+    """theta <- theta - lr * grad, elementwise, in place on ``params.flat``."""
+    if grad.shape != params.flat.shape:
+        raise ShapeError(f"gradient shape {grad.shape} != parameter shape {params.flat.shape}")
+    params.flat -= learning_rate * grad
 
 
 def sync_target(params: MlpParams) -> MlpParams:
@@ -227,34 +266,65 @@ def sync_target(params: MlpParams) -> MlpParams:
 
 
 # ---------------------------------------------------------------------------
-# Feature encoding: concatenated one-hot blocks
+# Feature encoding: concatenated one-hot blocks, built from state ids
 # ---------------------------------------------------------------------------
+
+#: Width of the worker x pressure part of a feature row: emotional 2 +
+#: load 3 + pace 3 + pace preference 3 + pressure 2.
+_BLOCK_WIDTH = 13
 
 
 def feature_size(num_contexts: int) -> int:
-    # emotional 2 + load 3 + pace 3 + pace preference 3 + pressure 2 + 2/machine
-    return 13 + 2 * num_contexts
+    # the blocks above + 2 per machine
+    return _BLOCK_WIDTH + 2 * num_contexts
+
+
+@functools.lru_cache(maxsize=None)
+def _block_table(profile: WorkerProfile) -> np.ndarray:
+    """The (36, 13) first blocks of a feature row for each worker x
+    pressure index ``s >> k`` of a state id ``s``."""
+    table = np.zeros((2 * len(WORKER_STATES), _BLOCK_WIDTH))
+    pref = PACES.index(profile.pace_preference)
+    for w, ws in enumerate(WORKER_STATES):
+        for pressure in (0, 1):
+            row = table[2 * w + pressure]
+            row[EMOTIONS.index(ws.emotional)] = 1.0
+            row[2 + LOADS.index(ws.cognitive_load)] = 1.0
+            row[5 + PACES.index(ws.pace)] = 1.0
+            row[8 + pref] = 1.0
+            row[11 + pressure] = 1.0
+    table.flags.writeable = False
+    return table
+
+
+class FeatureEncoder:
+    """Feature rows of state ids: one-hot blocks for emotional, load, pace,
+    pace preference and pressure, then one (ok, degraded) block per machine.
+    Each block sums to exactly 1.  Rows are built per call, from the
+    worker x pressure table and the machine bits, so no (S, d) table is
+    ever held."""
+
+    def __init__(self, num_machines: int, profile: WorkerProfile):
+        self.num_machines = num_machines
+        self.size = feature_size(num_machines)
+        self._blocks = _block_table(profile)
+        # machine i of the config is bit k - 1 - i of a state id
+        self._shifts = np.arange(num_machines - 1, -1, -1)
+
+    def __call__(self, ids: np.ndarray) -> np.ndarray:
+        """The (N, size) feature rows of the N state ids ``ids``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        out = np.empty((len(ids), self.size))
+        out[:, :_BLOCK_WIDTH] = self._blocks[ids >> self.num_machines]
+        bits = (ids[:, None] >> self._shifts) & 1
+        out[:, _BLOCK_WIDTH + 1 :: 2] = bits
+        out[:, _BLOCK_WIDTH::2] = 1 - bits
+        return out
 
 
 def encode_features(state: WorkshopState, profile: WorkerProfile) -> np.ndarray:
-    """One-hot blocks: emotional, load, pace, pace preference, pressure, one
-    block per machine.  Each block sums to exactly 1."""
-    parts = [
-        _one_hot(EMOTIONS.index(state.worker.emotional), 2),
-        _one_hot(LOADS.index(state.worker.cognitive_load), 3),
-        _one_hot(PACES.index(state.worker.pace), 3),
-        _one_hot(PACES.index(profile.pace_preference), 3),
-        _one_hot(0 if state.team.pressure is Pressure.LOW else 1, 2),
-    ]
-    for c in state.contexts:
-        parts.append(_one_hot(0 if c.machine is MachineCondition.OK else 1, 2))
-    return np.concatenate(parts)
-
-
-def _one_hot(index: int, size: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
+    """The feature row of ``encode_state(state)``."""
+    return FeatureEncoder(len(state.contexts), profile)([encode_state(state)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +361,12 @@ class DqnHyperparams:
                 raise ValueError(f"epsilon must be in [0,1], got {e}")
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon_end must not exceed epsilon_start")
+        if self.epsilon_decay_steps < 0:
+            raise ValueError(f"epsilon decay_steps must be non-negative, got {self.epsilon_decay_steps}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden layer widths must be at least 1, got {list(self.hidden)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def epsilon_at(self, step: int) -> float:
         return linear_decay(self.epsilon_start, self.epsilon_end, self.epsilon_decay_steps, step)
@@ -347,18 +423,24 @@ def train_dqn(
     """Epsilon-greedy acting on the network's values, uniform replay, one
     gradient step per environment step, target sync every ``target_sync``
     steps.  Deterministic given (env seed, hp seed).  Raises DivergenceError
-    on the first non-finite parameter."""
-    input_dim = feature_size(len(env.params.contexts))
-    sizes = (input_dim, *hp.hidden, env.num_actions)
+    on the first non-finite parameter.
+
+    Runs on state ids: the replay holds ids, and feature rows are built
+    for the acting state and the sampled batch only."""
+    encode = FeatureEncoder(len(env.params.contexts), env.profile)
+    sizes = (encode.size, *hp.hidden, env.num_actions)
     params = init_mlp(sizes, np.random.default_rng([hp.seed, 2]))
     target = sync_target(params)
-    buffer = ReplayBuffer(hp.buffer_capacity)
+    buffer = ReplayBuffer(hp.buffer_capacity, hp.total_steps)
     explore_rng = np.random.default_rng([hp.seed, 1])
     replay_rng = np.random.default_rng([hp.seed, 3])
+    gamma = env.params.gamma
+    # horizon truncation is not a terminal state: bootstrap normally
+    not_done = np.zeros(hp.batch_size, dtype=bool)
 
     metrics: list[StepMetrics] = []
-    state, obs = env.reset()
-    features = encode_features(obs if partial_obs else state, env.profile)
+    state, obs = env.reset_id()
+    s = obs if partial_obs else state
     ep_return = 0.0
     last_loss = 0.0
     for step in range(hp.total_steps):
@@ -366,31 +448,32 @@ def train_dqn(
         if explore_rng.random() < eps:
             a = int(explore_rng.integers(env.num_actions))
         else:
-            a = int(np.argmax(forward(params, features)))
-        state, obs, reward, done = env.step(ACTIONS[a])
-        next_features = encode_features(obs if partial_obs else state, env.profile)
-        # horizon truncation is not a terminal state: bootstrap normally
-        buffer.push(ReplayItem(features, a, reward.total, next_features, False))
-        ep_return += reward.total
-        features = next_features
+            a = int(np.argmax(forward(params, encode([s])[0])))
+        state, obs, reward, done = env.step_id(a)
+        s_next = obs if partial_obs else state
+        buffer.push(s, a, reward, s_next)
+        ep_return += reward
+        s = s_next
 
         if len(buffer) >= hp.batch_size:
-            batch = buffer.sample(hp.batch_size, replay_rng)
+            ids, actions, rewards, next_ids = buffer.sample(hp.batch_size, replay_rng)
             # overflow here is an abort path, not something to propagate
             with np.errstate(over="ignore", invalid="ignore"):
-                last_loss, grads = loss_and_grad(params, target, batch, env.params.gamma)
-                params = sgd_step(params, grads, hp.learning_rate)
+                last_loss, grad = loss_and_grad(
+                    params, target, encode(ids), actions, rewards, encode(next_ids), not_done, gamma
+                )
+                sgd_step(params, grad, hp.learning_rate)
             if not np.isfinite(last_loss) or not params.all_finite():
                 raise DivergenceError(
                     f"non-finite parameters after update at step {step}"
                 )
         if (step + 1) % hp.target_sync == 0:
-            target = sync_target(params)
+            np.copyto(target.flat, params.flat)
 
         if done:
             metrics.append(StepMetrics(step + 1, ep_return, last_loss, eps))
-            state, obs = env.reset()
-            features = encode_features(obs if partial_obs else state, env.profile)
+            state, obs = env.reset_id()
+            s = obs if partial_obs else state
             ep_return = 0.0
     return params, metrics
 
@@ -421,9 +504,7 @@ def save_params(params: MlpParams, path: str | Path) -> None:
         fh.write(_MLP_MAGIC)
         fh.write(struct.pack("<q", len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}q", *sizes))
-        for w, b in zip(params.weights, params.biases):
-            fh.write(w.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_params(path: str | Path) -> MlpParams:
@@ -436,14 +517,9 @@ def load_params(path: str | Path) -> MlpParams:
     off += 8
     sizes = struct.unpack_from(f"<{n_sizes}q", blob, off)
     off += 8 * n_sizes
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=off)
-        off += 8 * fan_in * fan_out
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)
-        off += 8 * fan_out
-        weights.append(w.reshape(fan_out, fan_in).copy())
-        biases.append(b.copy())
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in parameter file")
-    return MlpParams(weights, biases)
+    flat = np.frombuffer(blob, dtype="<f8", offset=off)
+    if flat.size != _num_params(sizes):
+        raise ValueError(
+            f"{path}: {flat.size} parameters after the header, its layer sizes need {_num_params(sizes)}"
+        )
+    return MlpParams.from_flat(sizes, flat.astype(np.float64))

@@ -162,8 +162,7 @@ def q_update(
     """One sampled Bellman update of entry (s, a) in place; returns the TD
     error.  ``done`` suppresses the bootstrap (terminal convention); horizon
     truncation in the workshop bootstraps normally."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"learning rate must be in (0,1], got {eta}")
+    _check_learning_rate(eta)
     n, m = q.values.shape
     if not (0 <= s < n and 0 <= s_next < n):
         raise IndexError(f"state index out of range [0, {n})")
@@ -178,11 +177,20 @@ def q_update(
 def epsilon_greedy(q: QTable, s: int, epsilon: float, rng: np.random.Generator) -> int:
     """Greedy action with probability 1 - epsilon (ties take the lowest
     index), uniform otherwise."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
+    _check_epsilon(epsilon)
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(q.num_actions))
     return int(np.argmax(q.values[s]))
+
+
+def _check_learning_rate(eta: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"learning rate must be in (0,1], got {eta}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
 
 
 def greedy_policy(q: QTable) -> np.ndarray:
@@ -202,11 +210,9 @@ class LearningSchedule:
     episodes: int = 5000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(f"learning rate must be in (0,1], got {self.learning_rate}")
+        _check_learning_rate(self.learning_rate)
         for e in (self.epsilon_start, self.epsilon_end):
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"epsilon must be in [0,1], got {e}")
+            _check_epsilon(e)
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon_end must not exceed epsilon_start")
         if self.decay_steps < 0 or self.episodes < 0:
@@ -264,25 +270,32 @@ def train_tabular(
     dedicated stream derived from it.  With ``partial_obs`` the learner sees
     the noisy inference channel instead of the true worker state.  The table
     starts at ``initial_q`` (zeros by default; see optimistic_initial_value
-    for the optimistic option).
+    for the optimistic option).  The loop runs on state ids with
+    ``epsilon_greedy`` and ``q_update`` inlined, draw for draw and float
+    operation for float operation; the schedule has validated their
+    arguments once, and the env only yields ids in range.
     """
     rng = np.random.default_rng([env.params.seed, 1])
     q = QTable(np.full((env.num_states, env.num_actions), float(initial_q)))
+    values = q.values
+    eta = schedule.learning_rate
     metrics: list[EpisodeMetrics] = []
     for episode in range(schedule.episodes):
         eps = schedule.epsilon_at(episode)
-        state, obs = env.reset()
-        s = encode_state(obs if partial_obs else state)
+        state, obs = env.reset_id()
+        s = obs if partial_obs else state
         ep_return = 0.0
         max_td = 0.0
         for _ in range(env.params.horizon):
-            a = epsilon_greedy(q, s, eps, rng)
-            state, obs, reward, done = env.step(ACTIONS[a])
-            s_next = encode_state(obs if partial_obs else state)
-            td = q_update(
-                q, s, a, reward.total, s_next, schedule.learning_rate, gamma
-            )
-            ep_return += reward.total
+            if eps > 0.0 and rng.random() < eps:
+                a = int(rng.integers(env.num_actions))
+            else:
+                a = int(values[s].argmax())
+            state, obs, reward, done = env.step_id(a)
+            s_next = obs if partial_obs else state
+            td = reward + gamma * float(values[s_next].max()) - float(values[s, a])
+            values[s, a] += eta * td
+            ep_return += reward
             max_td = max(max_td, abs(td))
             s = s_next
             if done:

@@ -194,6 +194,8 @@ class EnvParams:
             raise InvalidParamsError(f"noise_p must be in [0,1], got {self.noise_p}")
         if self.horizon < 1:
             raise InvalidParamsError(f"horizon must be positive, got {self.horizon}")
+        if self.seed < 0:
+            raise InvalidParamsError(f"seed must be non-negative, got {self.seed}")
         w = self.weights
         if w.w_worker <= 0 or w.w_team <= 0 or w.w_context <= 0:
             raise InvalidParamsError("all reward weights must be positive")
@@ -763,7 +765,9 @@ class WorkshopEnv:
     ``reset(seed=...)`` reseeds first (two environments built from equal
     params produce bit-identical trajectories for equal action sequences).
     The current state is held as its ``encode_state`` id, next to the count
-    of steps taken in the episode.  Instances are single-threaded; run
+    of steps taken in the episode.  ``reset_id``/``step_id`` work on ids
+    and action indices; ``reset``/``step``/``observe`` wrap them for callers
+    who want ``WorkshopState``s.  Instances are single-threaded; run
     independent instances in parallel.
     """
 
@@ -776,6 +780,8 @@ class WorkshopEnv:
         self._start = encode_state(initial_state(params, self.profile))
         self._s: int | None = None
         self._t = 0
+        # the machine bits and the pressure bit sit below the worker index
+        self._worker_shift = len(params.contexts) + 1
         self._model = FactoredModel(params, self.profile)
         self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, RewardBreakdown]] = {}
         self._decoded: dict[int, WorkshopState] = {}
@@ -784,41 +790,60 @@ class WorkshopEnv:
     def num_states(self) -> int:
         return num_states(self.params)
 
-    def reset(self, seed: int | None = None) -> tuple[WorkshopState, WorkshopState]:
-        """Start an episode; returns the initial state and its observation."""
+    def reset_id(self, seed: int | None = None) -> tuple[int, int]:
+        """Start an episode; returns the initial state id and its observed id."""
         if seed is not None:
             self._rng = np.random.default_rng([seed, 0])
         self._s, self._t = self._start, 0
-        state = self._decode_cached(self._start)
-        return state, self.observe(state)
+        return self._start, self._observe_id(self._start)
+
+    def step_id(self, a: int) -> tuple[int, int, float, bool]:
+        """Take the action of index ``a``; returns the next state id, its
+        observed id, the reward total and whether the horizon is reached.
+        Draws one ``random()`` for the transition, then the channel's."""
+        if self._s is None:
+            raise EpisodeOverError("call reset() or reset_id() before stepping")
+        if self._t >= self.params.horizon:
+            raise EpisodeOverError(f"episode is over (horizon {self.params.horizon})")
+        next_ids, cum, reward = self._row(self._s, a)
+        u = self._rng.random()
+        k = min(int(np.searchsorted(cum, u, side="right")), len(next_ids) - 1)
+        s = self._s = int(next_ids[k])
+        self._t += 1
+        return s, self._observe_id(s), reward.total, self._t >= self.params.horizon
+
+    def _observe_id(self, s: int) -> int:
+        """The inference channel on state ids (consumes the stream): ``s``
+        itself when the worker is read correctly (one ``random()``),
+        otherwise ``s`` with the worker replaced by one of the 17 others
+        (one more ``integers(17)``)."""
+        if self._rng.random() < self.params.alpha:
+            return s
+        shift = self._worker_shift
+        j = int(self._rng.integers(len(WORKER_STATES) - 1))
+        if j >= s >> shift:
+            j += 1
+        return (j << shift) | (s & ((1 << shift) - 1))
+
+    def reset(self, seed: int | None = None) -> tuple[WorkshopState, WorkshopState]:
+        """Start an episode; returns the initial state and its observation."""
+        s, obs = self.reset_id(seed)
+        return self._decode_cached(s), self._decode_cached(obs)
 
     def observe(self, state: WorkshopState) -> WorkshopState:
         """Sample the inference channel for ``state`` (consumes the stream):
-        ``state`` itself when the worker is read correctly, otherwise
-        ``state`` with a misread worker."""
-        if self._rng.random() < self.params.alpha:
-            return state
-        j = int(self._rng.integers(len(WORKER_STATES) - 1))
-        if j >= WORKER_INDEX[state.worker]:
-            j += 1
-        return WorkshopState(WORKER_STATES[j], state.team, state.contexts)
+        ``state`` when the worker is read correctly, otherwise ``state``
+        with a misread worker."""
+        return self._decode_cached(self._observe_id(encode_state(state)))
 
     def step(
         self, action: Action
     ) -> tuple[WorkshopState, WorkshopState, RewardBreakdown, bool]:
         """Take ``action``; returns the next state, its observation, the
         reward and whether the horizon is reached."""
-        if self._s is None:
-            raise EpisodeOverError("call reset() before step()")
-        if self._t >= self.params.horizon:
-            raise EpisodeOverError(f"episode is over (horizon {self.params.horizon})")
-        next_ids, cum, reward = self._row(self._s, ACTION_INDEX[action])
-        u = self._rng.random()
-        k = min(int(np.searchsorted(cum, u, side="right")), len(next_ids) - 1)
-        self._s = int(next_ids[k])
-        self._t += 1
-        nxt = self._decode_cached(self._s)
-        return nxt, self.observe(nxt), reward, self._t >= self.params.horizon
+        s, a = self._s, ACTION_INDEX[action]
+        nxt, obs, _, done = self.step_id(a)
+        return self._decode_cached(nxt), self._decode_cached(obs), self._rows[(s, a)][2], done
 
     def _decode_cached(self, index: int) -> WorkshopState:
         st = self._decoded.get(index)

@@ -123,7 +123,7 @@ def test_03_tabular_matches_oracle_policy():
 
 def test_04_gradient_check_against_finite_differences():
     t0 = time.perf_counter()
-    from test_dqn import flatten, item, numeric_gradient
+    from test_dqn import numeric_gradient, random_batch
 
     rng = np.random.default_rng(77)
     ok = True
@@ -131,13 +131,8 @@ def test_04_gradient_check_against_finite_differences():
         sizes = [3, int(rng.integers(2, 5)), 2]
         params = init_mlp(sizes, rng)
         target = init_mlp(sizes, rng)
-        batch = [
-            item(rng.normal(size=3), int(rng.integers(2)), float(rng.normal()),
-                 rng.normal(size=3), bool(rng.integers(2)))
-            for _ in range(8)
-        ]
-        _, grads = loss_and_grad(params, target, batch, 0.9)
-        analytic = flatten(grads)
+        batch = random_batch(rng, 8, 3, 2)
+        _, analytic = loss_and_grad(params, target, *batch, 0.9)
         numeric = numeric_gradient(params, target, batch, 0.9, step=1e-5)
         scale = np.maximum(np.abs(numeric), 1e-8)
         ok = ok and float(np.max(np.abs(analytic - numeric) / scale)) < 1e-4

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpssperso import cli
 from cpssperso.cli import main, moving_average
 from cpssperso.rl_core import QTable, save_qtable
 
@@ -294,6 +295,58 @@ class TestTrain:
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "tabular"]) == 3
 
+    @pytest.mark.parametrize(
+        "edit, env_seed",
+        [
+            (lambda doc: doc["env"].update(seed=-1), None),
+            (lambda doc: doc["dqn"].update(seed=-1), None),
+            (lambda doc: None, "-3"),
+        ],
+        ids=["env-seed", "dqn-seed", "seed-env-var"],
+    )
+    @pytest.mark.parametrize("agent", ["tabular", "dqn"])
+    def test_negative_seed_exits_2(self, quick_config, write_config, monkeypatch, capsys, edit, env_seed, agent):
+        if env_seed is not None:
+            monkeypatch.setenv("CPSSPERSO_SEED", env_seed)
+        edit(quick_config)
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", agent]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-negative" in err[0]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda dqn: dqn.update(hidden=[-1]),
+            lambda dqn: dqn.update(hidden=[0]),
+            lambda dqn: dqn.update(hidden=[16, 0]),
+            lambda dqn: dqn["epsilon"].update(decay_steps=-1),
+        ],
+        ids=["hidden-negative", "hidden-zero", "hidden-second-zero", "decay-negative"],
+    )
+    def test_bad_dqn_value_exits_2(self, quick_config, write_config, capsys, edit):
+        edit(quick_config["dqn"])
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "dqn"]) == 2
+        assert not (Path(quick_config["output_dir"]) / "quick" / "network.bin").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad dqn section:")
+
+    def test_divergence_exits_2_naming_the_step(self, quick_config, write_config, capsys):
+        quick_config["dqn"].update(lr=1e6, total_steps=2000)
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "dqn"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "diverged" in err[0]
+        assert "at step " in err[0]
+
+    def test_buffer_capacity_far_above_the_steps_runs(self, quick_config, write_config):
+        # the replay allocates rows for the steps the run takes, not the capacity
+        quick_config["dqn"].update(buffer_capacity=10**12, total_steps=64)
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "dqn"]) == 0
+        assert (Path(quick_config["output_dir"]) / "quick" / "network.bin").exists()
+
     def test_seed_env_var_overrides_config(self, quick_config, write_config, monkeypatch):
         monkeypatch.setenv("CPSSPERSO_SEED", "123")
         path = write_config(quick_config)
@@ -394,6 +447,25 @@ class TestSweep:
         assert main(argv) == 0
         out_path = Path(quick_config["output_dir"]) / "quick" / "sweep_env_noise_p.csv"
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.PINNED_VI_SWEEP
+
+    def test_negative_seed_value_exits_2(self, quick_config, write_config, capsys):
+        path = write_config(quick_config)
+        assert main(["sweep", str(path), "--param", "env.seed", "--values", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "non-negative" in err[0]
+
+    def test_swept_seed_takes_the_swept_value(self, quick_config, monkeypatch):
+        # each point derives its seeds from the base seed, except the swept key
+        seeds = []
+        evaluate = cli.evaluate_policy
+
+        def spy(params, profile, policy, episodes):
+            seeds.append(params.seed)
+            return evaluate(params, profile, policy, episodes)
+
+        monkeypatch.setattr(cli, "evaluate_policy", spy)
+        cli.sweep_param(cli.parse_experiment_config(quick_config), "env.seed", [5, 5, 6], episodes=2)
+        assert seeds == [5, 5, 6]
 
     def test_empty_values_exit_2(self, quick_config, write_config):
         path = write_config(quick_config)

@@ -5,9 +5,9 @@ from cpssperso.dqn import (
     DivergenceError,
     DqnHyperparams,
     EmptyBatchError,
+    FeatureEncoder,
     MlpParams,
     ReplayBuffer,
-    ReplayItem,
     ShapeError,
     encode_features,
     feature_size,
@@ -22,7 +22,14 @@ from cpssperso.dqn import (
     train_dqn,
 )
 from cpssperso.workshop_env import (
+    EMOTIONS,
+    LOADS,
+    PACES,
+    ContextConfig,
     EnvParams,
+    MachineCondition,
+    Pressure,
+    num_states,
     WorkerProfile,
     WorkerState,
     WorkshopEnv,
@@ -36,43 +43,37 @@ from cpssperso.workshop_env import (
 PROFILE = WorkerProfile()
 
 
-def item(features, action, reward, next_features, done=False):
-    return ReplayItem(
-        np.asarray(features, dtype=float),
-        action,
-        reward,
-        np.asarray(next_features, dtype=float),
-        done,
+def batch_of(*rows):
+    """The arrays (x, actions, rewards, next_x, done) that loss_and_grad
+    takes, from (features, action, reward, next features, done) rows."""
+    x, actions, rewards, next_x, done = zip(*rows)
+    return (
+        np.array(x, dtype=float),
+        np.array(actions, dtype=np.int64),
+        np.array(rewards, dtype=float),
+        np.array(next_x, dtype=float),
+        np.array(done, dtype=bool),
     )
 
 
-def flatten(params: MlpParams) -> np.ndarray:
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def unflatten(template: MlpParams, flat: np.ndarray) -> MlpParams:
-    weights, biases, off = [], [], 0
-    for w, b in zip(template.weights, template.biases):
-        weights.append(flat[off : off + w.size].reshape(w.shape).copy())
-        off += w.size
-        biases.append(flat[off : off + b.size].copy())
-        off += b.size
-    return MlpParams(weights, biases)
+def random_batch(rng, n, n_features, n_actions):
+    """n random rows, drawn row by row, with done=True and done=False mixed."""
+    return batch_of(*[
+        (rng.normal(size=n_features), int(rng.integers(n_actions)), float(rng.normal()),
+         rng.normal(size=n_features), bool(rng.integers(2)))
+        for _ in range(n)
+    ])
 
 
 def numeric_gradient(params, target, batch, gamma, step=1e-5):
-    base = flatten(params)
+    base = params.flat
     grad = np.zeros_like(base)
     for i in range(base.size):
         plus, minus = base.copy(), base.copy()
         plus[i] += step
         minus[i] -= step
-        lp, _ = loss_and_grad(unflatten(params, plus), target, batch, gamma)
-        lm, _ = loss_and_grad(unflatten(params, minus), target, batch, gamma)
+        lp, _ = loss_and_grad(MlpParams.from_flat(params.layer_sizes, plus), target, *batch, gamma)
+        lm, _ = loss_and_grad(MlpParams.from_flat(params.layer_sizes, minus), target, *batch, gamma)
         grad[i] = (lp - lm) / (2 * step)
     return grad
 
@@ -113,53 +114,57 @@ class TestForward:
 class TestLossAndGrad:
     def test_zero_residual_means_zero_loss_and_gradients(self):
         params = MlpParams([np.zeros((2, 3))], [np.zeros(2)])
-        batch = [item([1, 0, 0], 0, 0.0, [0, 1, 0], done=True)]
-        loss, grads = loss_and_grad(params, sync_target(params), batch, 0.9)
+        batch = batch_of(([1, 0, 0], 0, 0.0, [0, 1, 0], True))
+        loss, grad = loss_and_grad(params, sync_target(params), *batch, 0.9)
         assert loss == 0.0
-        assert not flatten(grads).any()
+        assert not grad.any()
 
     def test_single_linear_unit_hand_derivation(self):
         params = MlpParams([np.array([[0.7]])], [np.array([0.2])])
-        batch = [item([0.5], 0, 1.0, [0.0], done=True)]
-        loss, grads = loss_and_grad(params, sync_target(params), batch, 0.9)
-        # residual = 0.7*0.5 + 0.2 - 1.0 = -0.45
+        batch = batch_of(([0.5], 0, 1.0, [0.0], True))
+        loss, grad = loss_and_grad(params, sync_target(params), *batch, 0.9)
+        # residual = 0.7*0.5 + 0.2 - 1.0 = -0.45; the flat layout is (w, b)
         assert loss == pytest.approx(0.2025)
-        assert grads.weights[0][0, 0] == pytest.approx(-0.45)
-        assert grads.biases[0][0] == pytest.approx(-0.9)
+        assert grad[0] == pytest.approx(-0.45)
+        assert grad[1] == pytest.approx(-0.9)
 
     def test_target_network_supplies_bootstrap(self):
         params = MlpParams([np.zeros((1, 1))], [np.zeros(1)])
         target = MlpParams([np.zeros((1, 1))], [np.array([4.0])])
-        batch = [item([1.0], 0, 1.0, [1.0], done=False)]
-        loss, _ = loss_and_grad(params, target, batch, 0.5)
+        batch = batch_of(([1.0], 0, 1.0, [1.0], False))
+        loss, _ = loss_and_grad(params, target, *batch, 0.5)
         assert loss == pytest.approx((1.0 + 0.5 * 4.0) ** 2)
 
     def test_done_suppresses_bootstrap(self):
         params = MlpParams([np.zeros((1, 1))], [np.zeros(1)])
         target = MlpParams([np.zeros((1, 1))], [np.array([4.0])])
-        batch = [item([1.0], 0, 1.0, [1.0], done=True)]
-        loss, _ = loss_and_grad(params, target, batch, 0.5)
+        batch = batch_of(([1.0], 0, 1.0, [1.0], True))
+        loss, _ = loss_and_grad(params, target, *batch, 0.5)
         assert loss == pytest.approx(1.0)
 
     def test_empty_batch_rejected(self):
         params = MlpParams([np.zeros((1, 1))], [np.zeros(1)])
+        empty = (np.zeros((0, 1)), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 1)), np.zeros(0, dtype=bool))
         with pytest.raises(EmptyBatchError):
-            loss_and_grad(params, params, [], 0.9)
+            loss_and_grad(params, params, *empty, 0.9)
 
     def test_gradients_match_central_finite_differences(self):
         rng = np.random.default_rng(5)
         params = init_mlp([2, 2, 2], rng)  # 12 parameters
         target = init_mlp([2, 2, 2], rng)
-        batch = [
-            item(rng.normal(size=2), int(rng.integers(2)), float(rng.normal()),
-                 rng.normal(size=2), bool(rng.integers(2)))
-            for _ in range(8)
-        ]
-        _, grads = loss_and_grad(params, target, batch, 0.9)
-        analytic = flatten(grads)
+        batch = random_batch(rng, 8, 2, 2)
+        _, analytic = loss_and_grad(params, target, *batch, 0.9)
         numeric = numeric_gradient(params, target, batch, 0.9)
         scale = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+
+    def test_gradient_is_laid_out_like_the_parameters(self):
+        rng = np.random.default_rng(6)
+        params = init_mlp([3, 4, 2], rng)
+        _, grad = loss_and_grad(params, params.copy(), *random_batch(rng, 5, 3, 2), 0.9)
+        assert grad.shape == params.flat.shape
+        views = MlpParams.from_flat(params.layer_sizes, grad)
+        assert [w.shape for w in views.weights] == [w.shape for w in params.weights]
 
     def test_linear_network_loss_is_quadratic_least_squares(self):
         # with the target frozen, one exact least-squares solve zeroes the loss
@@ -167,17 +172,11 @@ class TestLossAndGrad:
         n_features, n_actions = 4, 3
         params = init_mlp([n_features, n_actions], rng)
         target = sync_target(params)
-        batch = [
-            item(rng.normal(size=n_features), int(rng.integers(n_actions)),
-                 float(rng.normal()), rng.normal(size=n_features), True)
-            for _ in range(8)
-        ]
-        x = np.stack([it.state_features for it in batch])
-        y = np.array([it.reward for it in batch])
-        actions = np.array([it.action_index for it in batch])
+        x, actions, y, next_x, _ = random_batch(rng, 8, n_features, n_actions)
+        done = np.ones(len(y), dtype=bool)
         solved_w = np.zeros((n_actions, n_features))
         solved_b = np.zeros(n_actions)
-        design = np.hstack([x, np.ones((len(batch), 1))])
+        design = np.hstack([x, np.ones((len(y), 1))])
         for a in range(n_actions):
             mask = actions == a
             if not mask.any():
@@ -185,65 +184,112 @@ class TestLossAndGrad:
             theta, *_ = np.linalg.lstsq(design[mask], y[mask], rcond=None)
             solved_w[a] = theta[:-1]
             solved_b[a] = theta[-1]
-        loss, _ = loss_and_grad(MlpParams([solved_w], [solved_b]), target, batch, 0.9)
+        loss, _ = loss_and_grad(MlpParams([solved_w], [solved_b]), target, x, actions, y, next_x, done, 0.9)
         assert loss < 1e-12
+
+
+class TestParams:
+    def test_weights_and_biases_are_views_of_the_flat_vector(self):
+        params = init_mlp([3, 4, 2], np.random.default_rng(0))
+        assert params.flat.size == (3 + 1) * 4 + (4 + 1) * 2
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.weights[0][0, 1] == 1.0 and params.biases[0][0] == 12.0
+        assert params.weights[1][0, 0] == 16.0 and params.biases[1][1] == 25.0
+
+    def test_from_flat_rejects_a_wrong_length(self):
+        with pytest.raises(ShapeError):
+            MlpParams.from_flat((3, 2), np.zeros(7))
+        with pytest.raises(ShapeError):
+            MlpParams.from_flat((3, 0), np.zeros(0))
 
 
 class TestSgdAndTarget:
     def test_zero_learning_rate_keeps_parameters(self):
         rng = np.random.default_rng(0)
         params = init_mlp([3, 2], rng)
-        grads = init_mlp([3, 2], rng)
-        stepped = sgd_step(params, grads, 0.0)
-        assert np.array_equal(flatten(stepped), flatten(params))
+        before = params.flat.copy()
+        sgd_step(params, init_mlp([3, 2], rng).flat, 0.0)
+        assert np.array_equal(params.flat, before)
 
     def test_zero_gradient_keeps_parameters(self):
         params = init_mlp([3, 2], np.random.default_rng(0))
-        zeros = MlpParams(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
-        assert np.array_equal(flatten(sgd_step(params, zeros, 0.5)), flatten(params))
+        before = params.flat.copy()
+        sgd_step(params, np.zeros_like(params.flat), 0.5)
+        assert np.array_equal(params.flat, before)
 
     def test_scalar_update_arithmetic(self):
         params = MlpParams([np.array([[1.0]])], [np.zeros(1)])
-        grads = MlpParams([np.array([[2.0]])], [np.zeros(1)])
-        assert sgd_step(params, grads, 0.1).weights[0][0, 0] == pytest.approx(0.8)
+        sgd_step(params, np.array([2.0, 0.0]), 0.1)
+        assert params.weights[0][0, 0] == pytest.approx(0.8)
+
+    def test_gradient_of_another_shape_rejected(self):
+        params = init_mlp([3, 2], np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            sgd_step(params, np.zeros(params.flat.size + 1), 0.1)
 
     def test_sync_is_a_deep_copy(self):
         params = init_mlp([3, 2], np.random.default_rng(1))
         copy = sync_target(params)
-        assert np.array_equal(flatten(copy), flatten(params))
+        assert np.array_equal(copy.flat, params.flat)
         params.weights[0][0, 0] += 123.0
         assert copy.weights[0][0, 0] != params.weights[0][0, 0]
 
     def test_repeated_sync_without_updates_identical(self):
         params = init_mlp([3, 2], np.random.default_rng(2))
-        assert np.array_equal(flatten(sync_target(params)), flatten(sync_target(params)))
+        assert np.array_equal(sync_target(params).flat, sync_target(params).flat)
 
 
 class TestReplayBuffer:
     def test_ring_keeps_most_recent_items(self):
         buf = ReplayBuffer(capacity=5)
-        items = [item([float(i)], 0, float(i), [0.0]) for i in range(8)]
-        for it in items:
-            buf.push(it)
+        for i in range(8):
+            buf.push(i, 0, float(i), 0)
         assert len(buf) == 5
-        kept = sorted(it.reward for it in buf.items())
-        assert kept == [3.0, 4.0, 5.0, 6.0, 7.0]
+        assert sorted(buf.rewards) == [3.0, 4.0, 5.0, 6.0, 7.0]
+
+    def test_ring_overwrites_oldest_row_in_place(self):
+        buf = ReplayBuffer(capacity=3)
+        for i in range(7):
+            buf.push(10 + i, i % 5, float(i), 20 + i)
+        # pushes 0..6 land on rows 0,1,2,0,1,2,0
+        assert buf.states.tolist() == [16, 14, 15]
+        assert buf.actions.tolist() == [1, 4, 0]
+        assert buf.rewards.tolist() == [6.0, 4.0, 5.0]
+        assert buf.next_states.tolist() == [26, 24, 25]
+
+    def test_sample_draws_one_integers_call_over_the_filled_rows(self):
+        buf = ReplayBuffer(capacity=10)
+        for i in range(6):
+            buf.push(i, i % 5, float(i), i + 1)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        states, actions, rewards, next_states = buf.sample(4, rng)
+        idx = ref.integers(6, size=4)
+        assert states.tolist() == idx.tolist()
+        assert actions.tolist() == (idx % 5).tolist()
+        assert rewards.tolist() == idx.astype(float).tolist()
+        assert next_states.tolist() == (idx + 1).tolist()
+        assert rng.random() == ref.random()  # nothing else was drawn
+
+    def test_rows_are_sized_by_the_pushes_to_come(self):
+        buf = ReplayBuffer(capacity=10**12, max_pushes=64)
+        assert len(buf.states) == 64
+        for i in range(64):
+            buf.push(i, 0, 0.0, i)
+        with pytest.raises(ValueError):
+            buf.push(64, 0, 0.0, 64)
 
     def test_sampling_requires_enough_items(self):
         buf = ReplayBuffer(capacity=4)
-        buf.push(item([0.0], 0, 0.0, [0.0]))
+        buf.push(0, 0, 0.0, 0)
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
     def test_sampling_is_deterministic_given_stream(self):
         buf = ReplayBuffer(capacity=10)
         for i in range(10):
-            buf.push(item([float(i)], 0, float(i), [0.0]))
-        a = [it.reward for it in buf.sample(4, np.random.default_rng(3))]
-        b = [it.reward for it in buf.sample(4, np.random.default_rng(3))]
+            buf.push(i, 0, float(i), 0)
+        a = buf.sample(4, np.random.default_rng(3))[2].tolist()
+        b = buf.sample(4, np.random.default_rng(3))[2].tolist()
         assert a == b
 
 
@@ -266,6 +312,27 @@ class TestFeatures:
         f = encode_features(obs, PROFILE)
         assert f[1] == 1.0 and f[4] == 1.0 and f[7] == 1.0
 
+    @pytest.mark.parametrize("pref", list(Pace))
+    def test_id_rows_match_one_hot_blocks_of_the_decoded_state(self, pref):
+        params = EnvParams(
+            contexts=(ContextConfig("m1"), ContextConfig("m2", False), ContextConfig("m3"))
+        )
+        profile = WorkerProfile(pref)
+        rows = FeatureEncoder(3, profile)(np.arange(num_states(params)))
+        for s, row in enumerate(rows):
+            st = decode_state(s, params)
+            hot = [
+                EMOTIONS.index(st.worker.emotional),
+                2 + LOADS.index(st.worker.cognitive_load),
+                5 + PACES.index(st.worker.pace),
+                8 + PACES.index(pref),
+                11 + (st.team.pressure is Pressure.HIGH),
+            ] + [13 + 2 * i + (c.machine is MachineCondition.DEGRADED) for i, c in enumerate(st.contexts)]
+            expected = np.zeros(feature_size(3))
+            expected[hot] = 1.0
+            assert np.array_equal(row, expected), s
+            assert np.array_equal(encode_features(st, profile), expected)
+
 
 class TestTraining:
     def test_hyperparams_validation(self):
@@ -273,6 +340,9 @@ class TestTraining:
             DqnHyperparams(buffer_capacity=8, batch_size=32)
         with pytest.raises(ValueError):
             DqnHyperparams(target_sync=0)
+        for bad in ({"hidden": (0,)}, {"hidden": (32, -1)}, {"epsilon_decay_steps": -1}, {"seed": -1}):
+            with pytest.raises(ValueError):
+                DqnHyperparams(**bad)
 
     def test_zero_steps_returns_initial_parameters(self):
         env = WorkshopEnv(EnvParams(seed=0))
@@ -282,7 +352,7 @@ class TestTraining:
             (feature_size(1), 32, 32, env.num_actions), np.random.default_rng([4, 2])
         )
         assert metrics == []
-        assert np.array_equal(flatten(params), flatten(fresh))
+        assert np.array_equal(params.flat, fresh.flat)
 
     def test_identical_seeds_give_identical_loss_curves(self):
         runs = []
@@ -332,7 +402,7 @@ class TestPersistence:
         save_params(params, path)
         loaded = load_params(path)
         assert loaded.layer_sizes == params.layer_sizes
-        assert np.array_equal(flatten(loaded), flatten(params))
+        assert np.array_equal(loaded.flat, params.flat)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "net.bin"

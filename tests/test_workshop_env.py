@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cpssperso.workshop_env import (
@@ -18,6 +19,8 @@ from cpssperso.workshop_env import (
     Pace,
     Pressure,
     RewardWeights,
+    WORKER_INDEX,
+    WORKER_STATES,
     TeamState,
     WorkerProfile,
     WorkerState,
@@ -350,3 +353,101 @@ class TestEnv:
         assert len({obs.worker for obs in observed}) == 18
         # team and machines are read exactly
         assert all(obs.team == state.team and obs.contexts == state.contexts for obs in observed)
+
+
+class TestStepIds:
+    """``reset_id``/``step_id`` against ``reset``/``step`` and against the
+    channel and the sampling written out on ``WorkshopState``s."""
+
+    K3 = EnvParams(
+        seed=5,
+        horizon=30,
+        contexts=(ContextConfig("m1"), ContextConfig("m2", False), ContextConfig("m3")),
+        machine_degrade_p=0.2,
+    )
+    STEPS = 2_000
+
+    def actions(self):
+        return np.random.default_rng(17).integers(len(ACTIONS), size=self.STEPS).tolist()
+
+    def run_ids(self, params):
+        env = WorkshopEnv(params, PROFILE)
+        out = [env.reset_id()]
+        for a in self.actions():
+            s, obs, total, done = env.step_id(a)
+            out.append((s, obs, total, done))
+            if done:
+                out.append(env.reset_id())
+        return out
+
+    def run_states(self, params):
+        env = WorkshopEnv(params, PROFILE)
+        state, obs = env.reset()
+        out = [(encode_state(state), encode_state(obs))]
+        for a in self.actions():
+            state, obs, reward, done = env.step(ACTIONS[a])
+            out.append((encode_state(state), encode_state(obs), reward.total, done))
+            if done:
+                state, obs = env.reset()
+                out.append((encode_state(state), encode_state(obs)))
+        return out
+
+    def run_reference(self, params):
+        """One ``random()`` for the transition over ``transition_model``'s
+        cumulative probabilities, then ``random()`` for the channel and
+        ``integers(17)`` on a miss."""
+        rng = np.random.default_rng([params.seed, 0])
+
+        def observe(state):
+            if rng.random() < params.alpha:
+                return state
+            j = int(rng.integers(17))
+            if j >= WORKER_INDEX[state.worker]:
+                j += 1
+            return WorkshopState(WORKER_STATES[j], state.team, state.contexts)
+
+        def start():
+            state = initial_state(params, PROFILE)
+            return state, (encode_state(state), encode_state(observe(state)))
+
+        state, first = start()
+        out, t = [first], 0
+        for a in self.actions():
+            dist = transition_model(state, ACTIONS[a], params, PROFILE)
+            cum = np.cumsum([p for _, p in dist])
+            k = min(int(np.searchsorted(cum, rng.random(), side="right")), len(dist) - 1)
+            total = reward_fn(state, ACTIONS[a], params, PROFILE).total
+            state, t = dist[k][0], t + 1
+            done = t >= params.horizon
+            out.append((encode_state(state), encode_state(observe(state)), total, done))
+            if done:
+                (state, first), t = start(), 0
+                out.append(first)
+        return out
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.6], ids=["full", "partial"])
+    def test_step_id_matches_step(self, alpha):
+        params = replace(self.K3, alpha=alpha)
+        ids = self.run_ids(params)
+        assert ids == self.run_states(params)
+        if alpha < 1.0:
+            assert sum(row[0] != row[1] for row in ids) > 500  # the channel misreads
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.6], ids=["full", "partial"])
+    def test_step_id_matches_the_state_level_reference(self, alpha):
+        params = replace(self.K3, alpha=alpha)
+        assert self.run_ids(params) == self.run_reference(params)
+
+    def test_misread_keeps_pressure_and_machine_bits(self):
+        env = WorkshopEnv(replace(self.K3, alpha=0.05), PROFILE)
+        s, _ = env.reset_id()
+        low = (1 << 4) - 1  # pressure bit + 3 machine bits
+        for a in self.actions()[:200]:
+            s, obs, _, done = env.step_id(a)
+            assert obs & low == s & low and 0 <= obs >> 4 < 18
+            if done:
+                s, _ = env.reset_id()
+
+    def test_step_id_before_reset_rejected(self):
+        with pytest.raises(EpisodeOverError):
+            WorkshopEnv(EnvParams()).step_id(0)
