@@ -164,8 +164,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             seed_override = int(override)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer: {override!r}") from exc
-        if seed_override < 0:
-            raise ConfigError(f"{SEED_ENV_VAR} must be non-negative: {override!r}")
     return parse_experiment_config(raw, seed_override)
 
 

@@ -7,8 +7,9 @@ of the parameters, over uniform samples from a ring replay buffer.  All
 gradients are exact analytic derivatives (no autodiff), which keeps the
 backward pass auditable against finite differences.
 
-Training owns its env, buffer and parameters on one thread; finished
-MlpParams are treated as immutable and can be shared for evaluation.
+Training owns its env, buffer and parameters on one thread and updates the
+parameters in place; only the MlpParams that train_dqn returns are safe to
+share for evaluation.
 """
 
 from __future__ import annotations
@@ -157,28 +158,21 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 class ReplayBuffer:
     """Fixed-capacity ring of transitions (state id, action index, reward,
-    next state id) in four preallocated arrays, with a uniform sampler.
+    next state id) in four preallocated arrays, with a uniform sampler."""
 
-    The arrays hold ``min(capacity, max_pushes)`` rows, so a capacity far
-    above the pushes a run makes costs nothing; with fewer rows than the
-    capacity, a push past the last row is an error rather than a wrap."""
-
-    def __init__(self, capacity: int, max_pushes: int | None = None):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        rows = capacity if max_pushes is None else min(capacity, max_pushes)
-        self.states = np.zeros(rows, dtype=np.int64)
-        self.actions = np.zeros(rows, dtype=np.int64)
-        self.rewards = np.zeros(rows, dtype=np.float64)
-        self.next_states = np.zeros(rows, dtype=np.int64)
+        self.states = np.zeros(capacity, dtype=np.int64)
+        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.rewards = np.zeros(capacity, dtype=np.float64)
+        self.next_states = np.zeros(capacity, dtype=np.int64)
         self._len = 0
         self._cursor = 0
 
     def push(self, s: int, a: int, r: float, s_next: int) -> None:
         i = self._cursor
-        if i == len(self.states) and i < self.capacity:
-            raise ValueError(f"replay buffer was sized for {i} pushes")
         self.states[i] = s
         self.actions[i] = a
         self.rewards[i] = r
@@ -431,7 +425,8 @@ def train_dqn(
     sizes = (encode.size, *hp.hidden, env.num_actions)
     params = init_mlp(sizes, np.random.default_rng([hp.seed, 2]))
     target = sync_target(params)
-    buffer = ReplayBuffer(hp.buffer_capacity, hp.total_steps)
+    # a ring that never wraps holds the same rows as one sized for the run
+    buffer = ReplayBuffer(max(1, min(hp.buffer_capacity, hp.total_steps)))
     explore_rng = np.random.default_rng([hp.seed, 1])
     replay_rng = np.random.default_rng([hp.seed, 3])
     gamma = env.params.gamma

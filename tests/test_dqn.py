@@ -270,14 +270,6 @@ class TestReplayBuffer:
         assert next_states.tolist() == (idx + 1).tolist()
         assert rng.random() == ref.random()  # nothing else was drawn
 
-    def test_rows_are_sized_by_the_pushes_to_come(self):
-        buf = ReplayBuffer(capacity=10**12, max_pushes=64)
-        assert len(buf.states) == 64
-        for i in range(64):
-            buf.push(i, 0, 0.0, i)
-        with pytest.raises(ValueError):
-            buf.push(64, 0, 0.0, 64)
-
     def test_sampling_requires_enough_items(self):
         buf = ReplayBuffer(capacity=4)
         buf.push(0, 0, 0.0, 0)
