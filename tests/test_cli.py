@@ -418,6 +418,43 @@ class TestEvaluate:
         run_dir = Path(quick_config["output_dir"]) / "quick"
         assert main(["evaluate", str(run_dir / "network.bin"), str(path), "--episodes", "3"]) == 0
 
+    # sha256 of the evaluate summary of each artifact, trained on quick_config
+    # and on its three-machine variant: pins the rollouts that score a policy,
+    # their match and violation counts, and the greedy readout of a network.
+    PINNED_EVAL = {
+        "tabular-k1": "ffaca50f7429d0625dbcccf867dd17950b4c887d7e75b5bcc054e245e74a7893",
+        "tabular-k3": "ffaca50f7429d0625dbcccf867dd17950b4c887d7e75b5bcc054e245e74a7893",
+        "dqn-k1": "75f0de22a4fc3f2b5a90dd0a394e08da23ec7abc06afac4d9bf3dbd86ce7b0aa",
+        "dqn-k3": "75f0de22a4fc3f2b5a90dd0a394e08da23ec7abc06afac4d9bf3dbd86ce7b0aa",
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED_EVAL))
+    def test_summary_matches_pinned_hash(self, quick_config, write_config, case):
+        agent, machines = case.split("-")
+        if machines == "k3":
+            three_machines(quick_config)
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", agent]) == 0
+        artifact = Path(quick_config["output_dir"]) / "quick" / f"{'qtable' if agent == 'tabular' else 'network'}.bin"
+        assert main(["evaluate", str(artifact), str(path), "--episodes", "20"]) == 0
+        summary = artifact.with_name(artifact.stem + "_eval.json")
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == self.PINNED_EVAL[case]
+
+    # the trained policies above never act unsafely, so this random q-table on
+    # the three-machine config pins a summary that counts violations
+    PINNED_RANDOM_EVAL = "2ede0512af2334a207b6b6181e51a66aa42b13bb5c9863110c6f064f9a261e2e"
+
+    def test_random_table_summary_matches_pinned_hash(self, quick_config, write_config, tmp_path):
+        three_machines(quick_config)
+        path = write_config(quick_config)
+        artifact = tmp_path / "random.bin"
+        save_qtable(QTable(np.random.default_rng(0).random((36 << 3, 5))), 0.95, artifact)
+        assert main(["evaluate", str(artifact), str(path), "--episodes", "20"]) == 0
+        summary = json.loads((tmp_path / "random_eval.json").read_text())
+        assert summary["safety_violation_rate"] > 0
+        digest = hashlib.sha256((tmp_path / "random_eval.json").read_bytes()).hexdigest()
+        assert digest == self.PINNED_RANDOM_EVAL
+
 
 class TestSweep:
     def test_three_values_three_rows(self, quick_config, write_config, capsys):
@@ -447,6 +484,22 @@ class TestSweep:
         assert main(argv) == 0
         out_path = Path(quick_config["output_dir"]) / "quick" / "sweep_env_noise_p.csv"
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.PINNED_VI_SWEEP
+
+    # sha256 of the learners' sweep CSVs on the same config: pins the greedy
+    # readout of a trained q-table and network and the rollouts that score it.
+    PINNED_LEARNER_SWEEP = {
+        "tabular": "e7b73c024def2f59d42baab929dc18a4376a0a8cff72d6501c91054f5ad996d6",
+        "dqn": "a828882a20b2d77658f3823f3da860ad89e9db9ecb8288c950a959b98576bbfc",
+    }
+
+    @pytest.mark.parametrize("agent", list(PINNED_LEARNER_SWEEP))
+    def test_learner_sweep_matches_pinned_hash(self, quick_config, write_config, agent):
+        three_machines(quick_config)
+        path = write_config(quick_config)
+        argv = ["sweep", str(path), "--param", "env.noise_p", "--values", "0.1,0.3", "--agent", agent]
+        assert main(argv) == 0
+        out_path = Path(quick_config["output_dir"]) / "quick" / "sweep_env_noise_p.csv"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.PINNED_LEARNER_SWEEP[agent]
 
     def test_negative_seed_value_exits_2(self, quick_config, write_config, capsys):
         path = write_config(quick_config)
