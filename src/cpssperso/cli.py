@@ -39,14 +39,12 @@ from .personalisation import objectives_from_config
 from .rl_core import (
     FiniteMdp,
     LearningSchedule,
-    QTable,
     evaluate_policy,
     exact_match_rate,
     greedy_policy,
     load_qtable,
     optimistic_initial_value,
     save_qtable,
-    table_policy,
     train_tabular,
     value_iteration,
 )
@@ -55,7 +53,6 @@ from .workshop_env import (
     WorkerProfile,
     WorkshopEnv,
     dataclass_from_config,
-    decode_state,
     env_params_from_config,
     num_states,
 )
@@ -315,8 +312,9 @@ def cmd_train(config_file: str, agent: str, partial_obs: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_policy(artifact_file: Path, cfg: ExperimentConfig):
-    """Dispatch on the artifact header; returns a policy callable."""
+def _load_policy(artifact_file: Path, cfg: ExperimentConfig) -> np.ndarray:
+    """Dispatch on the artifact header; returns the greedy action index of
+    every state id."""
     with open(artifact_file, "rb") as fh:
         magic = fh.read(4)
     if magic not in (b"QTB1", b"MLP1"):
@@ -336,21 +334,20 @@ def _load_policy(artifact_file: Path, cfg: ExperimentConfig):
                 f"q-table shape {q.num_states}x{q.num_actions} does not match the "
                 f"configured workshop ({n_states}x{n_actions})"
             )
-        return table_policy(q)
+        return greedy_policy(q)
     expected = dqn_mod.feature_size(len(cfg.env_params.contexts))
     if params.num_actions != n_actions or params.input_dim != expected:
         raise ConfigError(
             f"network shape {params.input_dim}->{params.num_actions} does not "
             f"match the configured workshop ({expected}->{n_actions})"
         )
-    return dqn_mod.network_policy(params, cfg.profile)
+    return dqn_mod.greedy_policy(params, cfg.env_params, cfg.profile)
 
 
 def cmd_evaluate(artifact_file: str, config_file: str, episodes: int) -> int:
     cfg = load_experiment_config(config_file)
     artifact = Path(artifact_file)
-    policy = _load_policy(artifact, cfg)
-    summary = evaluate_policy(cfg.env_params, cfg.profile, policy, episodes)
+    summary = evaluate_policy(cfg.env_params, cfg.profile, _load_policy(artifact, cfg), episodes)
     # an empty evaluation reports its episode count only
     out = asdict(summary) if summary.episodes else {"episodes": 0}
     print(json.dumps(out, sort_keys=True))
@@ -407,29 +404,19 @@ def sweep_param(
         params, profile = point.env_params, point.profile
         if agent == "vi":
             mdp = FiniteMdp.from_env(params, profile)
-            q = value_iteration(mdp, params.gamma, 1e-9)
+            pi = greedy_policy(value_iteration(mdp, params.gamma, 1e-9))
         elif agent == "tabular":
             env = WorkshopEnv(params, profile)
             q, _ = train_tabular(env, point.schedule, params.gamma, initial_q=point.initial_q)
+            pi = greedy_policy(q)
         elif agent == "dqn":
-            env = WorkshopEnv(params, profile)
-            net, _ = dqn_mod.train_dqn(env, point.dqn)
-            q = _network_as_table(net, params, profile)
+            net, _ = dqn_mod.train_dqn(WorkshopEnv(params, profile), point.dqn)
+            pi = dqn_mod.greedy_policy(net, params, profile)
         else:
             raise ConfigError(f"unknown sweep agent: {agent!r}")
-        match = exact_match_rate(greedy_policy(q), params, profile)
-        summary = evaluate_policy(params, profile, table_policy(q), episodes)
-        rows.append((float(value), summary.mean_return, match))
+        summary = evaluate_policy(params, profile, pi, episodes)
+        rows.append((float(value), summary.mean_return, exact_match_rate(pi, params, profile)))
     return rows
-
-
-def _network_as_table(params: dqn_mod.MlpParams, env_params: EnvParams, profile: WorkerProfile) -> QTable:
-    n = num_states(env_params)
-    values = np.zeros((n, WorkshopEnv.num_actions))
-    for s in range(n):
-        state = decode_state(s, env_params)
-        values[s] = dqn_mod.forward(params, dqn_mod.encode_features(state, profile))
-    return QTable(values)
 
 
 def cmd_sweep(config_file: str, param: str, values_csv: str, agent: str, episodes: int) -> int:
@@ -550,6 +537,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; the one place where exceptions become exit codes."""
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "episodes", 0) < 0:
+            raise ConfigError(f"--episodes must be non-negative, got {args.episodes}")
         if args.command == "classify":
             return cmd_classify(args.graph)
         if args.command == "validate":

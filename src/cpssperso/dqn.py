@@ -24,7 +24,7 @@ import numpy as np
 
 from .rl_core import linear_decay
 from .workshop_env import (
-    ACTIONS,
+    EnvParams,
     WorkerProfile,
     WorkshopEnv,
     WorkshopState,
@@ -34,6 +34,7 @@ from .workshop_env import (
     WORKER_STATES,
     dataclass_from_config,
     encode_state,
+    num_states,
 )
 
 
@@ -473,17 +474,20 @@ def train_dqn(
     return params, metrics
 
 
-def greedy_action(params: MlpParams, features: np.ndarray) -> int:
-    return int(np.argmax(forward(params, features)))
+#: State ids per ``forward_batch`` call of ``greedy_policy``, which bounds
+#: its memory at any number of machines.
+_READOUT_CHUNK = 4096
 
 
-def network_policy(params: MlpParams, profile: WorkerProfile):
-    """Wrap network parameters as a policy callable over true states."""
-
-    def policy(state, obs):
-        return ACTIONS[greedy_action(params, encode_features(state, profile))]
-
-    return policy
+def greedy_policy(params: MlpParams, env_params: EnvParams, profile: WorkerProfile) -> np.ndarray:
+    """The network's greedy action index for every state id (ties take the
+    lowest index), read out ``_READOUT_CHUNK`` ids at a time."""
+    encode = FeatureEncoder(len(env_params.contexts), profile)
+    ids = np.arange(num_states(env_params))
+    return np.concatenate([
+        forward_batch(params, encode(ids[i : i + _READOUT_CHUNK])).argmax(axis=1)
+        for i in range(0, len(ids), _READOUT_CHUNK)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .workshop_env import (
-    ACTIONS,
     EnvParams,
     FactoredModel,
     WorkerProfile,
     WorkshopEnv,
-    encode_state,
     reward_table,
-    worker_need,
+    safety_violation_ids,
     worker_need_ids,
 )
 
@@ -320,54 +318,44 @@ class EvalSummary:
 def evaluate_policy(
     params: EnvParams,
     profile: WorkerProfile,
-    policy,
+    actions: np.ndarray,
     episodes: int,
 ) -> EvalSummary:
-    """Greedy rollouts of ``policy(state, observation) -> Action``.
+    """Rollouts of the policy ``actions``, an (S,) array of action indices
+    over state ids, acting on the true state.
 
     Reports mean undiscounted return, the fraction of steps whose action
-    matched the worker-need rule, and the fraction of steps taking an unsafe
-    action next to a degraded influencing machine.  Episode ``i`` starts
-    from seed ``params.seed + 100_000 + i``.
+    matched the worker-need rule, and the fraction of steps whose reward
+    has a non-zero safety term (an unsafe action next to a degraded
+    influencing machine).  Episode ``i`` starts from seed
+    ``params.seed + 100_000 + i``.
     """
     if episodes <= 0:
         return EvalSummary(0, 0.0, 0.0, 0.0)
     env = WorkshopEnv(params, profile)
+    actions = np.asarray(actions)
+    if actions.shape != (env.num_states,):
+        raise ValueError(f"policy of shape {actions.shape} for {env.num_states} states")
     returns = []
-    matches = 0
-    violations = 0
-    steps = 0
+    visited = []
     for i in range(episodes):
-        state, obs = env.reset(seed=params.seed + 100_000 + i)
-        total = 0.0
-        for _ in range(params.horizon):
-            action = policy(state, obs)
-            if action is worker_need(state, profile):
-                matches += 1
-            state, obs, reward, done = env.step(action)
-            if any(rc != 0.0 for rc in reward.r_context):
-                violations += 1
-            total += reward.total
-            steps += 1
-            if done:
-                break
+        s, _ = env.reset_id(seed=params.seed + 100_000 + i)
+        total, done = 0.0, False
+        while not done:
+            visited.append(s)
+            s, _, reward, done = env.step_id(int(actions[s]))
+            total += reward
         returns.append(total)
+    visited = np.array(visited)
+    taken = actions[visited]
+    matches = np.count_nonzero(taken == worker_need_ids(params, profile)[visited])
+    violations = np.count_nonzero(safety_violation_ids(params)[visited, taken])
     return EvalSummary(
         episodes=episodes,
         mean_return=float(np.mean(returns)),
-        worker_match_rate=matches / steps,
-        safety_violation_rate=violations / steps,
+        worker_match_rate=matches / len(visited),
+        safety_violation_rate=violations / len(visited),
     )
-
-
-def table_policy(q: QTable):
-    """Wrap a q-table as a policy callable over true states."""
-    pi = greedy_policy(q)
-
-    def policy(state, obs):
-        return ACTIONS[int(pi[encode_state(state)])]
-
-    return policy
 
 
 def exact_match_rate(

@@ -21,6 +21,7 @@ exactly.  States carry no time: the environment counts the steps.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -457,6 +458,8 @@ def transition_model(
 # ---------------------------------------------------------------------------
 
 _UNSAFE_ACTIONS = frozenset({Action.SPEED_UP, Action.HANDOVER})
+#: (A,) booleans: the unsafe actions by action index
+_UNSAFE_INDEX = np.isin(np.arange(len(ACTIONS)), [ACTION_INDEX[a] for a in _UNSAFE_ACTIONS])
 
 
 def composite_total(
@@ -730,6 +733,13 @@ def worker_need_ids(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
     return np.repeat(table[:, flags.astype(np.intp)], 2, axis=0).ravel()
 
 
+def safety_violation_ids(params: EnvParams) -> np.ndarray:
+    """(S, A) booleans: where ``reward_fn`` has a non-zero context term, an
+    unsafe action next to a degraded influencing machine."""
+    degraded = (np.arange(num_states(params)) & _influence_mask(params)) != 0
+    return degraded[:, None] & _UNSAFE_INDEX & (params.rewards.context_unsafe != 0.0)
+
+
 def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
     """``reward_fn(...).total`` for every (state id, action index), as an
     (S, A) array.  Each term is built from its factors and they are summed
@@ -744,11 +754,10 @@ def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
     held_under_pressure = ((ids >> k) & 1 == 1) & (actions == ACTION_INDEX[Action.HOLD])
     r_team = np.where(held_under_pressure, float(mags.team_bad), float(mags.team_ok))
     total = weights.w_worker * r_worker + weights.w_team * r_team
-    unsafe = np.isin(actions, [ACTION_INDEX[a] for a in _UNSAFE_ACTIONS])
     for i, c in enumerate(params.contexts):
         if c.influences_worker:
             degraded = (ids >> (k - 1 - i)) & 1 == 1
-            total += weights.w_context * np.where(degraded & unsafe, float(mags.context_unsafe), 0.0)
+            total += weights.w_context * np.where(degraded & _UNSAFE_INDEX, float(mags.context_unsafe), 0.0)
     return total
 
 
@@ -783,7 +792,7 @@ class WorkshopEnv:
         # the machine bits and the pressure bit sit below the worker index
         self._worker_shift = len(params.contexts) + 1
         self._model = FactoredModel(params, self.profile)
-        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, RewardBreakdown]] = {}
+        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
         self._decoded: dict[int, WorkshopState] = {}
 
     @property
@@ -810,7 +819,7 @@ class WorkshopEnv:
         k = min(int(np.searchsorted(cum, u, side="right")), len(next_ids) - 1)
         s = self._s = int(next_ids[k])
         self._t += 1
-        return s, self._observe_id(s), reward.total, self._t >= self.params.horizon
+        return s, self._observe_id(s), reward, self._t >= self.params.horizon
 
     def _observe_id(self, s: int) -> int:
         """The inference channel on state ids (consumes the stream): ``s``
@@ -840,10 +849,11 @@ class WorkshopEnv:
         self, action: Action
     ) -> tuple[WorkshopState, WorkshopState, RewardBreakdown, bool]:
         """Take ``action``; returns the next state, its observation, the
-        reward and whether the horizon is reached."""
-        s, a = self._s, ACTION_INDEX[action]
-        nxt, obs, _, done = self.step_id(a)
-        return self._decode_cached(nxt), self._decode_cached(obs), self._rows[(s, a)][2], done
+        reward with its terms and whether the horizon is reached."""
+        s = self._s
+        nxt, obs, _, done = self.step_id(ACTION_INDEX[action])
+        reward = reward_fn(self._decode_cached(s), action, self.params, self.profile)
+        return self._decode_cached(nxt), self._decode_cached(obs), reward, done
 
     def _decode_cached(self, index: int) -> WorkshopState:
         st = self._decoded.get(index)
@@ -852,15 +862,15 @@ class WorkshopEnv:
             self._decoded[index] = st
         return st
 
-    def _row(self, s_idx: int, a_idx: int) -> tuple[np.ndarray, np.ndarray, RewardBreakdown]:
-        """Next-state ids, their cumulative probabilities and the reward of
-        (s, a), built once per pair."""
+    def _row(self, s_idx: int, a_idx: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Next-state ids, their cumulative probabilities and the reward
+        total of (s, a), built once per pair."""
         key = (s_idx, a_idx)
         row = self._rows.get(key)
         if row is None:
             ids, probs = self._model.row(s_idx, a_idx)
             reward = reward_fn(self._decode_cached(s_idx), ACTIONS[a_idx], self.params, self.profile)
-            row = (ids, np.cumsum(probs), reward)
+            row = (ids, np.cumsum(probs), reward.total)
             self._rows[key] = row
         return row
 
@@ -892,10 +902,12 @@ def _cast(tp, value, where: str):
         raise InvalidParamsError(f"{where} must be true or false, got {value!r}")
     if tp is int or tp is float:
         # the casts would read true as 1 and "7" as 7, and int() would
-        # truncate 2.5 to 2
+        # truncate 2.5 to 2; JSON's NaN and Infinity are not values either
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or (tp is int and isinstance(value, float) and not value.is_integer()):
-            kind = "an integer" if tp is int else "a number"
+        if number and isinstance(value, float):
+            number = value.is_integer() if tp is int else math.isfinite(value)
+        if not number:
+            kind = "an integer" if tp is int else "a finite number"
             raise InvalidParamsError(f"{where} must be {kind}, got {value!r}")
     return tp(value)  # float, int, str, bool or an enum
 

@@ -15,11 +15,11 @@ import pytest
 
 from cpssperso.cli import main as cli_main
 from cpssperso.cli import parse_experiment_config, sweep_param
+from cpssperso import dqn
 from cpssperso.dqn import (
     DqnHyperparams,
     init_mlp,
     loss_and_grad,
-    network_policy,
     train_dqn,
 )
 from cpssperso.meta_model import (
@@ -36,7 +36,6 @@ from cpssperso.rl_core import (
     evaluate_policy,
     greedy_policy,
     optimistic_initial_value,
-    table_policy,
     train_tabular,
     value_iteration,
 )
@@ -144,12 +143,12 @@ def test_05_dqn_reaches_oracle_return():
     params = EnvParams()
     mdp = FiniteMdp.from_env(params, PROFILE)
     q_star = value_iteration(mdp, params.gamma, 1e-9)
-    vi_return = evaluate_policy(params, PROFILE, table_policy(q_star), 100).mean_return
+    vi_return = evaluate_policy(params, PROFILE, greedy_policy(q_star), 100).mean_return
     ok = vi_return > 0
     for seed in range(3):
         env = WorkshopEnv(EnvParams(seed=seed), PROFILE)
         net, _ = train_dqn(env, DqnHyperparams(seed=seed, total_steps=20_000))
-        summary = evaluate_policy(params, PROFILE, network_policy(net, PROFILE), 100)
+        summary = evaluate_policy(params, PROFILE, dqn.greedy_policy(net, params, PROFILE), 100)
         ok = ok and summary.mean_return >= 0.95 * vi_return
     report(5, "dqn greedy return vs oracle (3 seeds)", ok, t0, budget=300.0)
 

@@ -332,6 +332,25 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad dqn section:")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["env"]["weights"].update(w_team=float("nan")),
+            lambda doc: doc["env"].setdefault("rewards", {}).update(worker_match=float("inf")),
+            lambda doc: doc["env"].setdefault("rewards", {}).update(context_unsafe=float("-inf")),
+            lambda doc: doc["dqn"].update(lr=float("nan")),
+        ],
+        ids=["weight-nan", "reward-infinity", "reward-minus-infinity", "dqn-lr-nan"],
+    )
+    def test_non_finite_float_exits_2(self, quick_config, write_config, capsys, edit):
+        # json writes these as NaN and Infinity, which json.load reads back
+        edit(quick_config)
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad") and "finite" in err[0]
+        assert not (Path(quick_config["output_dir"]) / "quick").exists()
+
     def test_divergence_exits_2_naming_the_step(self, quick_config, write_config, capsys):
         quick_config["dqn"].update(lr=1e6, total_steps=2000)
         path = write_config(quick_config)
@@ -406,6 +425,16 @@ class TestEvaluate:
         truncated = tmp_path / "truncated.bin"
         truncated.write_bytes(magic + b"\x01\x00")
         assert main(["evaluate", str(truncated), str(cfg)]) == 2
+
+    def test_negative_episodes_exit_2(self, quick_config, write_config, capsys):
+        cfg, run_dir = self._trained_run(quick_config, write_config)
+        capsys.readouterr()
+        assert main(["evaluate", str(run_dir / "qtable.bin"), str(cfg), "--episodes", "-3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--episodes" in err[0]
+        assert not (run_dir / "qtable_eval.json").exists()
+        assert main(["sweep", str(cfg), "--param", "env.noise_p", "--values", "0.1", "--episodes", "-1"]) == 2
+        assert not (run_dir / "sweep_env_noise_p.csv").exists()
 
     def test_unwritable_summary_exits_3(self, quick_config, write_config):
         cfg, run_dir = self._trained_run(quick_config, write_config)
@@ -545,6 +574,13 @@ class TestSweep:
         quick_config["schedule"]["episodes"] = float("inf")  # written as Infinity
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "tabular"]) == 2
+
+    @pytest.mark.parametrize("values", ["nan", "inf", "0.4,-inf"])
+    def test_non_finite_value_on_a_float_key_exits_2(self, quick_config, write_config, capsys, values):
+        path = write_config(quick_config)
+        assert main(["sweep", str(path), "--param", "env.weights.w_team", "--values", values]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0]
 
 
 class TestEmitPlotData:

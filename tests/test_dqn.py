@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpssperso import dqn
 from cpssperso.dqn import (
     DivergenceError,
     DqnHyperparams,
@@ -13,6 +14,7 @@ from cpssperso.dqn import (
     feature_size,
     forward,
     forward_batch,
+    greedy_policy,
     init_mlp,
     load_params,
     loss_and_grad,
@@ -385,6 +387,37 @@ class TestTraining:
             for s in range(mdp.num_states)
         ) / mdp.num_states
         assert agree >= 0.8
+
+
+class TestGreedyPolicy:
+    @staticmethod
+    def one_forward_per_state(net, params, profile):
+        """The readout that the batched one replaced: the argmax of one
+        ``forward`` per decoded state."""
+        return np.array([
+            np.argmax(forward(net, encode_features(decode_state(s, params), profile)))
+            for s in range(num_states(params))
+        ])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_trained_network_matches_one_forward_per_state(self, k):
+        params = EnvParams(
+            contexts=tuple(ContextConfig(f"m{i}", i != 1) for i in range(k)), machine_degrade_p=0.2, seed=7
+        )
+        profile = WorkerProfile(Pace.SLOW)
+        net, _ = train_dqn(WorkshopEnv(params, profile), DqnHyperparams(total_steps=400, seed=7))
+        pi = greedy_policy(net, params, profile)
+        assert pi.shape == (num_states(params),)
+        assert np.array_equal(pi, self.one_forward_per_state(net, params, profile))
+
+    def test_random_network_matches_beyond_one_chunk(self):
+        k = 7  # 4608 states
+        params = EnvParams(contexts=tuple(ContextConfig(f"m{i}", i % 2 == 0) for i in range(k)))
+        assert num_states(params) > dqn._READOUT_CHUNK
+        net = init_mlp((feature_size(k), 16, 16, 5), np.random.default_rng(3))
+        pi = greedy_policy(net, params, PROFILE)
+        assert np.array_equal(pi, self.one_forward_per_state(net, params, PROFILE))
+        assert len(np.unique(pi)) > 1
 
 
 class TestPersistence:

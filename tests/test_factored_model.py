@@ -102,10 +102,10 @@ def check_against_reference(params: EnvParams, profile: WorkerProfile) -> None:
     assert np.max(np.abs(mdp.transitions.sum(axis=2) - 1.0)) <= 1e-12
     env = WorkshopEnv(params, profile)
     for (s, a), (ids_ref, cum_ref) in rows_ref.items():
-        ids, cum, reward = env._row(s, a)
+        ids, cum, total = env._row(s, a)
         assert ids.tobytes() == ids_ref.tobytes(), (s, a)
         assert cum.tobytes() == cum_ref.tobytes(), (s, a)
-        assert reward.total == r_ref[s, a]
+        assert total == r_ref[s, a]
         assert np.all(np.diff(cum, prepend=0.0) >= 0.0) and abs(cum[-1] - 1.0) <= 1e-12
     v = np.random.default_rng(n).normal(size=n)
     assert np.max(np.abs(mdp.expect(v) - p_ref @ v)) <= 1e-12 * np.max(np.abs(v))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpssperso.rl_core import (
+    EvalSummary,
     FiniteMdp,
     InvalidToleranceError,
     LearningSchedule,
@@ -16,11 +17,21 @@ from cpssperso.rl_core import (
     optimistic_initial_value,
     q_update,
     save_qtable,
-    table_policy,
     train_tabular,
     value_iteration,
 )
-from cpssperso.workshop_env import EnvParams, WorkerProfile, WorkshopEnv
+from cpssperso.workshop_env import (
+    ACTIONS,
+    PACES,
+    ContextConfig,
+    EnvParams,
+    RewardMagnitudes,
+    WorkerProfile,
+    WorkshopEnv,
+    encode_state,
+    num_states,
+    worker_need,
+)
 
 PROFILE = WorkerProfile()
 
@@ -265,13 +276,86 @@ class TestHelpers:
         params = EnvParams()
         mdp = FiniteMdp.from_env(params, PROFILE)
         q = value_iteration(mdp, params.gamma, 1e-9)
-        summary = evaluate_policy(params, PROFILE, table_policy(q), episodes=20)
+        summary = evaluate_policy(params, PROFILE, greedy_policy(q), episodes=20)
         assert summary.worker_match_rate >= 0.9
         assert summary.mean_return > 0
 
     def test_zero_episode_evaluation_is_empty(self):
-        summary = evaluate_policy(EnvParams(), PROFILE, lambda s, o: None, episodes=0)
+        summary = evaluate_policy(EnvParams(), PROFILE, np.zeros(72, dtype=int), episodes=0)
         assert summary.episodes == 0 and summary.mean_return == 0.0
+
+
+def evaluate_on_states(params, profile, actions, episodes):
+    """The ``WorkshopState`` loop that ``evaluate_policy`` replaced: act on
+    the true state through ``reset``/``step``, match against ``worker_need``
+    and count a violation where a context term of the reward is non-zero."""
+    if episodes <= 0:
+        return EvalSummary(0, 0.0, 0.0, 0.0)
+    env = WorkshopEnv(params, profile)
+    returns, matches, violations, steps = [], 0, 0, 0
+    for i in range(episodes):
+        state, _ = env.reset(seed=params.seed + 100_000 + i)
+        total = 0.0
+        for _ in range(params.horizon):
+            action = ACTIONS[int(actions[encode_state(state)])]
+            matches += action is worker_need(state, profile)
+            state, _, reward, done = env.step(action)
+            violations += any(rc != 0.0 for rc in reward.r_context)
+            total += reward.total
+            steps += 1
+            if done:
+                break
+        returns.append(total)
+    return EvalSummary(episodes, float(np.mean(returns)), matches / steps, violations / steps)
+
+
+def sampled_config(rng, i):
+    """A random workshop whose first samples cover the edges: no safety
+    penalty, a machine that does not influence the worker, a noisy channel
+    and one-step episodes."""
+    k = int(rng.integers(5))
+    if i == 1:
+        k = max(k, 1)
+    contexts = tuple(ContextConfig(f"m{j}", bool(rng.random() < 0.7) and not (i == 1 and j == 0)) for j in range(k))
+    unsafe = 0.0 if i == 0 or rng.random() < 0.2 else -float(rng.uniform(0.5, 3.0))
+    params = EnvParams(
+        alpha=0.6 if i == 2 else float(rng.choice([1.0, rng.uniform(0.2, 1.0)])),
+        noise_p=float(rng.random()),
+        horizon=1 if i == 3 else int(rng.integers(1, 30)),
+        contexts=contexts,
+        seed=int(rng.integers(1000)),
+        pressure_flip_p=float(rng.random()),
+        machine_degrade_p=float(rng.choice([0.0, 1.0, rng.random()])),
+        rewards=RewardMagnitudes(context_unsafe=unsafe),
+    )
+    return params, WorkerProfile(PACES[int(rng.integers(3))])
+
+
+class TestEvaluatePolicy:
+    @pytest.mark.parametrize("k", [1, 3, 5, 6])
+    def test_oracle_policy_matches_the_state_loop(self, k):
+        params = EnvParams(
+            contexts=tuple(ContextConfig(f"m{i}", i != 1) for i in range(k)), machine_degrade_p=0.2, seed=k
+        )
+        pi = greedy_policy(value_iteration(FiniteMdp.from_env(params, PROFILE), params.gamma, 1e-9))
+        summary = evaluate_policy(params, PROFILE, pi, episodes=20)
+        assert summary == evaluate_on_states(params, PROFILE, pi, episodes=20)
+
+    def test_random_policies_match_the_state_loop(self):
+        rng = np.random.default_rng(2026)
+        violated = 0
+        for i in range(40):
+            params, profile = sampled_config(rng, i)
+            pi = rng.integers(len(ACTIONS), size=num_states(params))
+            episodes = int(rng.integers(1, 6))
+            summary = evaluate_policy(params, profile, pi, episodes)
+            assert summary == evaluate_on_states(params, profile, pi, episodes), (i, params)
+            violated += summary.safety_violation_rate > 0
+        assert violated >= 5
+
+    def test_policy_of_another_shape_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_policy(EnvParams(), PROFILE, np.zeros(36, dtype=int), episodes=1)
 
 
 class TestPersistence:
