@@ -348,8 +348,8 @@ def evaluate_policy(
         returns.append(total)
     visited = np.array(visited)
     taken = actions[visited]
-    matches = np.count_nonzero(taken == worker_need_ids(params, profile)[visited])
-    violations = np.count_nonzero(safety_violation_ids(params)[visited, taken])
+    matches = int(np.count_nonzero(taken == worker_need_ids(params, profile)[visited]))
+    violations = int(np.count_nonzero(safety_violation_ids(params)[visited, taken]))
     return EvalSummary(
         episodes=episodes,
         mean_return=float(np.mean(returns)),

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,7 @@ class TestEvaluatePolicy:
             episodes = int(rng.integers(1, 6))
             summary = evaluate_policy(params, profile, pi, episodes)
             assert summary == evaluate_on_states(params, profile, pi, episodes), (i, params)
+            assert all(type(value) is float for value in astuple(summary)[1:])
             violated += summary.safety_violation_rate > 0
         assert violated >= 5
 
