@@ -192,7 +192,8 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 def greedy_policy(q: QTable) -> np.ndarray:
-    """state -> action map (lowest-index tie-break)."""
+    """The policy of a q-table: its greedy action index for every state id
+    (ties take the lowest index)."""
     return np.argmax(q.values, axis=1)
 
 
