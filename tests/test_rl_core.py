@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpssperso.rl_core import (
+    EpisodeMetrics,
     EvalSummary,
     FiniteMdp,
     InvalidToleranceError,
@@ -257,6 +258,52 @@ class TestTrainTabular:
         env = WorkshopEnv(EnvParams(seed=1, alpha=0.8))
         q, metrics = train_tabular(env, LearningSchedule(episodes=30), 0.95, partial_obs=True)
         assert len(metrics) == 30
+
+    @pytest.mark.parametrize("greedy", [False, True], ids=["decaying", "epsilon-zero"])
+    @pytest.mark.parametrize("optimistic", [False, True], ids=["zero-init", "optimistic"])
+    @pytest.mark.parametrize("partial_obs", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_the_library_functions(self, k, partial_obs, optimistic, greedy):
+        """``train_tabular`` against the loop it inlines: ``epsilon_greedy``
+        and ``q_update`` on a numpy ``QTable`` over ``reset_id``/``step_id``.
+        Epsilon 0 throughout makes every pick greedy, ties included."""
+        params = EnvParams(
+            seed=7 + k,
+            alpha=0.6 if partial_obs else 1.0,
+            machine_degrade_p=0.2,
+            contexts=tuple(ContextConfig(f"m{i}", i != 1) for i in range(k)),
+        )
+        start = 0.0 if greedy else 1.0
+        schedule = LearningSchedule(epsilon_start=start, epsilon_end=0.0, decay_steps=40, episodes=60)
+        initial_q = optimistic_initial_value(params) if optimistic else 0.0
+        gamma = params.gamma
+
+        env = WorkshopEnv(params, PROFILE)
+        rng = np.random.default_rng([params.seed, 1])
+        q_ref = QTable(np.full((env.num_states, env.num_actions), initial_q))
+        metrics_ref = []
+        for episode in range(schedule.episodes):
+            eps = schedule.epsilon_at(episode)
+            state, obs = env.reset_id()
+            s = obs if partial_obs else state
+            ep_return, max_td = 0.0, 0.0
+            for _ in range(params.horizon):
+                a = epsilon_greedy(q_ref, s, eps, rng)
+                state, obs, reward, done = env.step_id(a)
+                s_next = obs if partial_obs else state
+                td = q_update(q_ref, s, a, reward, s_next, schedule.learning_rate, gamma)
+                ep_return += reward
+                max_td = max(max_td, abs(td))
+                s = s_next
+                if done:
+                    break
+            metrics_ref.append(EpisodeMetrics(episode, ep_return, eps, max_td))
+
+        q, metrics = train_tabular(WorkshopEnv(params, PROFILE), schedule, gamma, partial_obs, initial_q)
+        assert q.values.shape == q_ref.values.shape
+        assert q.values.tobytes() == q_ref.values.tobytes()
+        assert metrics == metrics_ref
+        assert all(type(m.episode_return) is float and type(m.max_abs_td_error) is float for m in metrics)
 
 
 class TestHelpers:
