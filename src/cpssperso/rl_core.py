@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -272,35 +273,39 @@ def train_tabular(
     for the optimistic option).  The loop runs on state ids with
     ``epsilon_greedy`` and ``q_update`` inlined, draw for draw and float
     operation for float operation; the schedule has validated their
-    arguments once, and the env only yields ids in range.
+    arguments once, and the env only yields ids in range.  While learning,
+    the table is one flat ``array`` of S x A floats, read and written as
+    Python floats; the returned ``QTable`` views the same memory.
     """
     rng = np.random.default_rng([env.params.seed, 1])
-    q = QTable(np.full((env.num_states, env.num_actions), float(initial_q)))
-    values = q.values
+    n_a = env.num_actions
+    values = array("d", [float(initial_q)]) * (env.num_states * n_a)
     eta = schedule.learning_rate
+    step = env.step_id
     metrics: list[EpisodeMetrics] = []
     for episode in range(schedule.episodes):
         eps = schedule.epsilon_at(episode)
         state, obs = env.reset_id()
-        s = obs if partial_obs else state
+        i = (obs if partial_obs else state) * n_a
         ep_return = 0.0
         max_td = 0.0
         for _ in range(env.params.horizon):
             if eps > 0.0 and rng.random() < eps:
-                a = int(rng.integers(env.num_actions))
+                a = int(rng.integers(n_a))
             else:
-                a = int(values[s].argmax())
-            state, obs, reward, done = env.step_id(a)
-            s_next = obs if partial_obs else state
-            td = reward + gamma * float(values[s_next].max()) - float(values[s, a])
-            values[s, a] += eta * td
+                row = values[i : i + n_a]
+                a = row.index(max(row))  # the first maximum, as argmax
+            state, obs, reward, done = step(a)
+            j = (obs if partial_obs else state) * n_a
+            td = reward + gamma * max(values[j : j + n_a]) - values[i + a]
+            values[i + a] += eta * td
             ep_return += reward
             max_td = max(max_td, abs(td))
-            s = s_next
+            i = j
             if done:
                 break
         metrics.append(EpisodeMetrics(episode, ep_return, eps, max_td))
-    return q, metrics
+    return QTable(np.frombuffer(values).reshape(env.num_states, n_a)), metrics
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -792,7 +794,7 @@ class WorkshopEnv:
         # the machine bits and the pressure bit sit below the worker index
         self._worker_shift = len(params.contexts) + 1
         self._model = FactoredModel(params, self.profile)
-        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
+        self._rows: dict[tuple[int, int], tuple[array, array, float]] = {}
         self._decoded: dict[int, WorkshopState] = {}
 
     @property
@@ -809,15 +811,18 @@ class WorkshopEnv:
     def step_id(self, a: int) -> tuple[int, int, float, bool]:
         """Take the action of index ``a``; returns the next state id, its
         observed id, the reward total and whether the horizon is reached.
-        Draws one ``random()`` for the transition, then the channel's."""
+        Draws one ``random()`` for the transition, then the channel's.  The
+        next state is the first whose cumulative probability exceeds the
+        draw (``bisect_right``), the last one should rounding leave the
+        sum below it.  An action outside ``[0, num_actions)`` raises
+        ``IndexError``."""
         if self._s is None:
             raise EpisodeOverError("call reset() or reset_id() before stepping")
         if self._t >= self.params.horizon:
             raise EpisodeOverError(f"episode is over (horizon {self.params.horizon})")
         next_ids, cum, reward = self._row(self._s, a)
         u = self._rng.random()
-        k = min(int(np.searchsorted(cum, u, side="right")), len(next_ids) - 1)
-        s = self._s = int(next_ids[k])
+        s = self._s = next_ids[min(bisect_right(cum, u), len(next_ids) - 1)]
         self._t += 1
         return s, self._observe_id(s), reward, self._t >= self.params.horizon
 
@@ -862,15 +867,20 @@ class WorkshopEnv:
             self._decoded[index] = st
         return st
 
-    def _row(self, s_idx: int, a_idx: int) -> tuple[np.ndarray, np.ndarray, float]:
+    def _row(self, s_idx: int, a_idx: int) -> tuple[array, array, float]:
         """Next-state ids, their cumulative probabilities and the reward
-        total of (s, a), built once per pair."""
+        total of (s, a), built once per pair.  The ids and probabilities are
+        ``array``s, 8 bytes an entry as in numpy, that ``step_id`` reads as
+        Python scalars."""
         key = (s_idx, a_idx)
         row = self._rows.get(key)
         if row is None:
+            if not 0 <= a_idx < self.num_actions:
+                raise IndexError(f"action index {a_idx} out of range [0, {self.num_actions})")
             ids, probs = self._model.row(s_idx, a_idx)
             reward = reward_fn(self._decode_cached(s_idx), ACTIONS[a_idx], self.params, self.profile)
-            row = (ids, np.cumsum(probs), reward.total)
+            cum = np.cumsum(probs)
+            row = (array("q", ids.astype(np.int64).tobytes()), array("d", cum.tobytes()), reward.total)
             self._rows[key] = row
         return row
 
