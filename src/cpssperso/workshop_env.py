@@ -608,6 +608,21 @@ class FactoredModel:
                     (int(nxt is MachineCondition.DEGRADED), p)
                     for nxt, p in _machine_outcomes(probe, action, params)
                 ])
+        # A machine with one outcome reaches it with probability 1.0, a factor
+        # that changes no product, so the probabilities of a row depend only
+        # on the action and on how many machines have two outcomes; under one
+        # action those machines all share the current bit, hence one pair.
+        #: [action]: the current bit whose machines have two outcomes (-1 if
+        #: none), and the next bit of a one-outcome machine at bit 0 and at bit 1
+        self._moves: list[tuple[int, int, int]] = []
+        for outcomes in self.machine_outcomes:
+            two = [b for b, pairs in enumerate(outcomes) if len(pairs) == 2]
+            assert len(two) <= 1 and all(len(pairs) == 2 or pairs[0][1] == 1.0 for pairs in outcomes)
+            nxt = [pairs[0][0] if len(pairs) == 1 else 0 for pairs in outcomes]
+            self._moves.append((two[0] if two else -1, *nxt))
+        #: (action, number of two-outcome machines) -> the row's machine
+        #: probabilities, the first machine's outcome outermost
+        self._folds: dict[tuple[int, int], np.ndarray] = {}
         pressure = np.zeros((2, 2))
         for i, level in enumerate((Pressure.LOW, Pressure.HIGH)):
             state = WorkshopState(WORKER_STATES[0], TeamState(level), ())
@@ -624,15 +639,32 @@ class FactoredModel:
         return self.worker_team[int((bits & self.influence_mask) != 0), a]
 
     def _machines(self, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reachable next machine bits, ascending, and their probabilities."""
-        combos = [(0, 1.0)]
-        for shift in range(self.num_machines - 1, -1, -1):
-            outcomes = self.machine_outcomes[a][(bits >> shift) & 1]
-            combos = [(i * 2 + j, p * q) for i, p in combos for j, q in outcomes]
-        return (
-            np.array([i for i, _ in combos], dtype=np.int64),
-            np.array([p for _, p in combos], dtype=np.float64),
-        )
+        """Reachable next machine bits, ascending, and their probabilities.
+        The machines with two outcomes (the ``free`` bits) run over both;
+        every other machine takes its one outcome (the ``fixed`` bits).  The
+        arrays may be shared between calls: do not write to them."""
+        two, nxt_ok, nxt_degraded = self._moves[a]
+        by_bit = (((1 << self.num_machines) - 1) & ~bits, bits)
+        free = by_bit[two] if two >= 0 else 0
+        fixed = (by_bit[0] if nxt_ok else 0) | (by_bit[1] if nxt_degraded else 0)
+        n = free.bit_count()
+        probs = self._folds.get((a, n))
+        if probs is None:
+            pair = np.array([p for _, p in self.machine_outcomes[a][two]]) if n else None
+            probs = np.ones(1)
+            for _ in range(n):
+                probs = np.multiply.outer(probs, pair).ravel()
+            self._folds[a, n] = probs
+        if n == 0:
+            return np.array([fixed], dtype=np.int64), probs
+        if n == self.num_machines:
+            return self._all_ids, probs
+        return ((self._all_ids & ~free) == fixed).nonzero()[0], probs
+
+    @functools.cached_property
+    def _all_ids(self) -> np.ndarray:
+        """Every machine-bit pattern, ``arange(2^k)``."""
+        return np.arange(1 << self.num_machines, dtype=np.int64)
 
     def row(self, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         """Next-state ids of (s, a), ascending, and their probabilities."""

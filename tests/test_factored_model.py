@@ -180,3 +180,37 @@ def test_expect_matches_rows_beyond_one_kronecker_chunk(k):
         for a in range(len(ACTIONS)):
             ids, probs = model.row(int(s), a)
             assert abs(ev[s, a] - probs @ v[ids]) <= 1e-12 * np.max(np.abs(v)), (s, a)
+
+
+def machines_by_list_product(model: FactoredModel, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The enumeration ``FactoredModel._machines`` replaced: every machine's
+    outcomes in turn, the first machine outermost, as lists of (bits,
+    probability) pairs."""
+    combos = [(0, 1.0)]
+    for shift in range(model.num_machines - 1, -1, -1):
+        outcomes = model.machine_outcomes[a][(bits >> shift) & 1]
+        combos = [(i * 2 + j, p * q) for i, p in combos for j, q in outcomes]
+    return (
+        np.array([i for i, _ in combos], dtype=np.int64),
+        np.array([p for _, p in combos], dtype=np.float64),
+    )
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_machines_match_the_list_product_at_scale(k):
+    """At sizes the reference checks do not reach, the machine part of a row
+    equals the per-machine enumeration bit for bit, at every edge probability;
+    the sampled bit patterns include all-ok, all-degraded and mixed ones."""
+    rng = np.random.default_rng(k)
+    contexts = tuple(ContextConfig(f"m{i}", i % 4 != 3) for i in range(k))
+    all_bits = (1 << k) - 1
+    for degrade_p in EDGE_PROBS:
+        model = FactoredModel(EnvParams(contexts=contexts, machine_degrade_p=degrade_p), WorkerProfile())
+        patterns = [0, all_bits, 1, all_bits - 1] + [int(b) for b in rng.integers(1 << k, size=6)]
+        for bits in patterns:
+            for a in range(len(ACTIONS)):
+                ids_ref, probs_ref = machines_by_list_product(model, a, bits)
+                ids, probs = model._machines(a, bits)
+                assert ids.dtype == ids_ref.dtype and probs.dtype == probs_ref.dtype
+                assert ids.tobytes() == ids_ref.tobytes(), (degrade_p, a, bits)
+                assert probs.tobytes() == probs_ref.tobytes(), (degrade_p, a, bits)
