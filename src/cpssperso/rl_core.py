@@ -328,7 +328,9 @@ def evaluate_policy(
     episodes: int,
 ) -> EvalSummary:
     """Rollouts of the policy ``actions``, an (S,) array of action indices
-    over state ids, acting on the true state.
+    over state ids, acting on the true state.  A policy of another shape,
+    of a non-integer dtype or with an index outside ``[0, 5)`` raises
+    ``ValueError``.
 
     Reports mean undiscounted return, the fraction of steps whose action
     matched the worker-need rule, and the fraction of steps whose reward
@@ -342,6 +344,10 @@ def evaluate_policy(
     actions = np.asarray(actions)
     if actions.shape != (env.num_states,):
         raise ValueError(f"policy of shape {actions.shape} for {env.num_states} states")
+    if actions.dtype.kind not in "iu":
+        raise ValueError(f"policy of dtype {actions.dtype}, not of action indices")
+    if actions.min() < 0 or actions.max() >= env.num_actions:
+        raise ValueError(f"policy actions outside [0, {env.num_actions})")
     returns = []
     visited = []
     for i in range(episodes):

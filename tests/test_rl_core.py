@@ -407,6 +407,19 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError):
             evaluate_policy(EnvParams(), PROFILE, np.zeros(36, dtype=int), episodes=1)
 
+    @pytest.mark.parametrize(
+        "pi",
+        [np.full(72, -1), np.full(72, 5), np.zeros(72), np.zeros(72, dtype=bool)],
+        ids=["negative", "too-large", "float", "bool"],
+    )
+    def test_policy_of_bad_action_indices_rejected(self, pi):
+        with pytest.raises(ValueError):
+            evaluate_policy(EnvParams(), PROFILE, pi, episodes=3)
+
+    def test_unsigned_policy_accepted(self):
+        pi = np.zeros(72, dtype=np.uint8)
+        assert evaluate_policy(EnvParams(), PROFILE, pi, 3) == evaluate_policy(EnvParams(), PROFILE, pi.astype(int), 3)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

@@ -448,6 +448,18 @@ class TestStepIds:
             if done:
                 s, _ = env.reset_id()
 
+    @pytest.mark.parametrize("a", [-1, 5])
+    def test_action_out_of_range_rejected(self, a):
+        env = WorkshopEnv(self.K3, PROFILE)
+        env.reset_id()
+        with pytest.raises(IndexError):
+            env.step_id(a)
+        assert not env._rows  # no row cached under the bad index
+        # neither the stream nor the step count moved
+        fresh = WorkshopEnv(self.K3, PROFILE)
+        fresh.reset_id()
+        assert env.step_id(0) == fresh.step_id(0)
+
     def test_step_id_before_reset_rejected(self):
         with pytest.raises(EpisodeOverError):
             WorkshopEnv(EnvParams()).step_id(0)
