@@ -650,10 +650,9 @@ class FactoredModel:
         n = free.bit_count()
         probs = self._folds.get((a, n))
         if probs is None:
-            pair = np.array([p for _, p in self.machine_outcomes[a][two]]) if n else None
             probs = np.ones(1)
             for _ in range(n):
-                probs = np.multiply.outer(probs, pair).ravel()
+                probs = np.multiply.outer(probs, [p for _, p in self.machine_outcomes[a][two]]).ravel()
             self._folds[a, n] = probs
         if n == 0:
             return np.array([fixed], dtype=np.int64), probs
@@ -911,8 +910,11 @@ class WorkshopEnv:
                 raise IndexError(f"action index {a_idx} out of range [0, {self.num_actions})")
             ids, probs = self._model.row(s_idx, a_idx)
             reward = reward_fn(self._decode_cached(s_idx), ACTIONS[a_idx], self.params, self.profile)
-            cum = np.cumsum(probs)
-            row = (array("q", ids.astype(np.int64).tobytes()), array("d", cum.tobytes()), reward.total)
+            # written in place through numpy views: no temporary copies
+            next_ids, cum = array("q", [0]) * len(ids), array("d", [0.0]) * len(ids)
+            np.frombuffer(next_ids, dtype=np.int64)[:] = ids
+            np.cumsum(probs, out=np.frombuffer(cum))
+            row = (next_ids, cum, reward.total)
             self._rows[key] = row
         return row
 
