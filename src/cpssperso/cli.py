@@ -133,6 +133,12 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
         hp = dqn_mod.hyperparams_from_config(resolved.get("dqn", {}))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad dqn section: {exc}") from exc
+    need = dqn_mod.dqn_memory_bytes(hp, env_params)
+    if need > dqn_mod.MAX_DQN_BYTES:
+        raise ConfigError(
+            f"bad dqn section: a run needs about {need >> 30} GiB, over the "
+            f"{dqn_mod.MAX_DQN_BYTES >> 30} GiB budget"
+        )
     try:
         objectives_from_config(resolved.get("objectives", []))
     except (KeyError, TypeError, ValueError) as exc:

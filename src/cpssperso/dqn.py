@@ -15,6 +15,7 @@ share for evaluation.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,7 @@ import numpy as np
 
 from .rl_core import linear_decay
 from .workshop_env import (
+    ACTIONS,
     EnvParams,
     WorkerProfile,
     WorkshopEnv,
@@ -102,8 +104,10 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams.from_flat(self.layer_sizes, self.flat.copy())
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+    def all_finite(self, out: np.ndarray | None = None) -> bool:
+        """Whether every parameter is finite; ``out`` is a bool buffer of
+        ``flat``'s shape for the elementwise test."""
+        return bool(np.isfinite(self.flat, out=out).all())
 
 
 def _num_params(layer_sizes: Sequence[int]) -> int:
@@ -149,12 +153,25 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.input_dim:
         raise ShapeError(f"expected batch of shape (N, {params.input_dim}), got {h.shape}")
+    layers = [np.empty((len(h), width)) for width in params.layer_sizes[1:]]
+    return _forward_into(params, h, layers, layers)
+
+
+def _forward_into(
+    params: MlpParams, h: np.ndarray, pre: Sequence[np.ndarray], act: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Run the rows ``h`` through the network without checks, writing layer
+    i's pre-activation into ``pre[i]`` and, for a hidden layer, its rectified
+    output into ``act[i]`` (which may be ``pre[i]`` itself).  Returns the
+    output rows, ``pre[-1]``."""
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
+        z = pre[i]
+        np.matmul(h, w.T, out=z)
+        z += b
         if i < last:
-            h = np.maximum(h, 0.0)
-    return h
+            h = np.maximum(z, 0.0, out=act[i])
+    return z
 
 
 class ReplayBuffer:
@@ -196,6 +213,41 @@ class ReplayBuffer:
         return self._len
 
 
+class Workspace:
+    """Every buffer that ``loss_and_grad`` writes, for batches of
+    ``batch_size`` rows through a network of ``layer_sizes``, allocated
+    once.  The two feature batches ``x`` and ``next_x`` are the halves of
+    ``features``, so that a caller can encode both in one call.  Then come
+    each layer's pre-activations, rectified outputs, backward rows and relu
+    masks, the target values, the row indices and the flat gradient with its
+    layer views.  Every call overwrites them all."""
+
+    def __init__(self, layer_sizes: Sequence[int], batch_size: int):
+        sizes = tuple(int(m) for m in layer_sizes)
+        if len(sizes) < 2 or min(sizes) < 1 or batch_size < 1:
+            raise ShapeError(f"need positive layer sizes and batch size: {sizes}, {batch_size}")
+        n = self.batch_size = int(batch_size)
+        self.layer_sizes = sizes
+        self.features = np.empty((2 * n, sizes[0]))
+        self.x, self.next_x = self.features[:n], self.features[n:]
+        self.pre = [np.empty((n, width)) for width in sizes[1:]]
+        self.act = [np.empty((n, width)) for width in sizes[1:-1]]
+        self.g = [np.empty((n, width)) for width in sizes[1:]]
+        self.mask = [np.empty((n, width), dtype=bool) for width in sizes[1:-1]]
+        self.q_next = np.empty(n)
+        self.delta = np.empty(n)
+        self.rows = np.arange(n)
+        self.grad = np.empty(_num_params(sizes))
+        self.grad_w, self.grad_b = _layer_views(sizes, self.grad)
+
+    @staticmethod
+    def nbytes(layer_sizes: Sequence[int], batch_size: int) -> int:
+        """The bytes that ``Workspace(layer_sizes, batch_size)`` holds."""
+        d, widths, hidden = layer_sizes[0], sum(layer_sizes[1:]), sum(layer_sizes[1:-1])
+        floats_per_row = 2 * d + 2 * widths + hidden + 2
+        return batch_size * (8 * floats_per_row + hidden + 8) + 8 * _num_params(layer_sizes)
+
+
 def loss_and_grad(
     params: MlpParams,
     target_params: MlpParams,
@@ -205,6 +257,7 @@ def loss_and_grad(
     next_x: np.ndarray,
     done: np.ndarray,
     gamma: float,
+    workspace: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean squared Bellman residual over a batch and its exact gradient, a
     flat vector in the layout of ``params.flat``.
@@ -212,40 +265,53 @@ def loss_and_grad(
     The batch is its feature rows ``x`` (N, input_dim), action indices,
     rewards, next feature rows and done flags.  Targets are r for done
     rows, else r + gamma * max_a' Q(s'; target params); no gradient flows
-    through the target network.
+    through the target network, which has the layer sizes of ``params``.
+
+    Every intermediate goes to ``workspace``, a fresh one when none is
+    given; the gradient returned is its ``grad`` buffer, which the next call
+    with the same workspace overwrites.
     """
     n = len(x)
     if n == 0:
         raise EmptyBatchError("need at least one transition")
-    q_next = forward_batch(target_params, next_x).max(axis=1)
-    y = rewards + gamma * np.where(done, 0.0, q_next)
+    sizes = params.layer_sizes
+    ws = Workspace(sizes, n) if workspace is None else workspace
+    if ws.layer_sizes != sizes or target_params.layer_sizes != sizes or ws.batch_size != n:
+        raise ShapeError(
+            f"network {sizes}, target {target_params.layer_sizes} and workspace "
+            f"{ws.layer_sizes} of {ws.batch_size} rows for a batch of {n}"
+        )
+    x = np.asarray(x, dtype=np.float64)
+    next_x = np.asarray(next_x, dtype=np.float64)
+    if x.shape != (n, sizes[0]) or next_x.shape != (n, sizes[0]):
+        raise ShapeError(f"expected batches of shape ({n}, {sizes[0]}), got {x.shape} and {next_x.shape}")
 
-    # forward pass keeping pre-activations for the backward sweep
-    last = len(params.weights) - 1
-    activations = [np.asarray(x, dtype=np.float64)]
-    pre: list[np.ndarray] = []
-    h = activations[0]
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < last else z
-        activations.append(h)
+    # y = r + gamma * max_a' Q(s'; target), the bootstrap zeroed on done rows
+    y = ws.q_next
+    np.maximum.reduce(_forward_into(target_params, next_x, ws.pre, ws.act), axis=1, out=y)
+    np.copyto(y, 0.0, where=done)
+    y *= gamma
+    y += rewards
 
-    rows = np.arange(n)
-    q_sa = h[rows, actions]
-    delta = q_sa - y
-    loss = float(np.mean(delta**2))
+    q = _forward_into(params, x, ws.pre, ws.act)
+    delta = np.subtract(q[ws.rows, actions], y, out=ws.delta)
+    loss = float(np.add.reduce(delta**2) / n)  # np.mean's sum and division
 
-    g = np.zeros_like(h)
-    g[rows, actions] = 2.0 * delta / n
-    grad = np.empty_like(params.flat)
-    grad_w, grad_b = _layer_views(params.layer_sizes, grad)
+    last = len(ws.g) - 1
+    g = ws.g[last]
+    g.fill(0.0)  # only the taken action's value has a gradient: 2 delta / n
+    delta *= 2.0
+    delta /= n
+    g[ws.rows, actions] = delta
     for i in range(last, -1, -1):
-        np.matmul(g.T, activations[i], out=grad_w[i])
-        g.sum(axis=0, out=grad_b[i])
+        g = ws.g[i]
+        np.matmul(g.T, ws.act[i - 1] if i > 0 else x, out=ws.grad_w[i])
+        np.add.reduce(g, axis=0, out=ws.grad_b[i])
         if i > 0:
-            g = (g @ params.weights[i]) * (pre[i - 1] > 0.0)
-    return loss, grad
+            np.matmul(g, params.weights[i], out=ws.g[i - 1])
+            np.greater(ws.pre[i - 1], 0.0, out=ws.mask[i - 1])
+            ws.g[i - 1] *= ws.mask[i - 1]
+    return loss, ws.grad
 
 
 def sgd_step(params: MlpParams, grad: np.ndarray, learning_rate: float) -> None:
@@ -306,10 +372,12 @@ class FeatureEncoder:
         # machine i of the config is bit k - 1 - i of a state id
         self._shifts = np.arange(num_machines - 1, -1, -1)
 
-    def __call__(self, ids: np.ndarray) -> np.ndarray:
-        """The (N, size) feature rows of the N state ids ``ids``."""
+    def __call__(self, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (N, size) feature rows of the N state ids ``ids``, written
+        into ``out`` when given."""
         ids = np.asarray(ids, dtype=np.int64)
-        out = np.empty((len(ids), self.size))
+        if out is None:
+            out = np.empty((len(ids), self.size))
         out[:, :_BLOCK_WIDTH] = self._blocks[ids >> self.num_machines]
         bits = (ids[:, None] >> self._shifts) & 1
         out[:, _BLOCK_WIDTH + 1 :: 2] = bits
@@ -421,18 +489,25 @@ def train_dqn(
     on the first non-finite parameter.
 
     Runs on state ids: the replay holds ids, and feature rows are built
-    for the acting state and the sampled batch only."""
+    for the acting state and the sampled batch only, into buffers allocated
+    once per run."""
     encode = FeatureEncoder(len(env.params.contexts), env.profile)
     sizes = (encode.size, *hp.hidden, env.num_actions)
     params = init_mlp(sizes, np.random.default_rng([hp.seed, 2]))
     target = sync_target(params)
-    # a ring that never wraps holds the same rows as one sized for the run
-    buffer = ReplayBuffer(max(1, min(hp.buffer_capacity, hp.total_steps)))
+    buffer = ReplayBuffer(replay_rows(hp))
     explore_rng = np.random.default_rng([hp.seed, 1])
     replay_rng = np.random.default_rng([hp.seed, 3])
     gamma = env.params.gamma
-    # horizon truncation is not a terminal state: bootstrap normally
-    not_done = np.zeros(hp.batch_size, dtype=bool)
+    if hp.batch_size <= buffer.capacity:  # else no update ever runs
+        ws = Workspace(sizes, hp.batch_size)
+        # horizon truncation is not a terminal state: bootstrap normally
+        not_done = np.zeros(hp.batch_size, dtype=bool)
+    finite = np.empty(params.flat.shape, dtype=bool)
+    # the acting state's id, feature row and layer rows
+    act_id = np.empty(1, dtype=np.int64)
+    act_x = np.empty((1, encode.size))
+    act_layers = [np.empty((1, width)) for width in sizes[1:]]
 
     metrics: list[StepMetrics] = []
     state, obs = env.reset_id()
@@ -444,7 +519,8 @@ def train_dqn(
         if explore_rng.random() < eps:
             a = int(explore_rng.integers(env.num_actions))
         else:
-            a = int(np.argmax(forward(params, encode([s])[0])))
+            act_id[0] = s
+            a = int(_forward_into(params, encode(act_id, act_x), act_layers, act_layers).argmax())
         state, obs, reward, done = env.step_id(a)
         s_next = obs if partial_obs else state
         buffer.push(s, a, reward, s_next)
@@ -453,13 +529,14 @@ def train_dqn(
 
         if len(buffer) >= hp.batch_size:
             ids, actions, rewards, next_ids = buffer.sample(hp.batch_size, replay_rng)
+            encode(np.concatenate((ids, next_ids)), ws.features)
             # overflow here is an abort path, not something to propagate
             with np.errstate(over="ignore", invalid="ignore"):
                 last_loss, grad = loss_and_grad(
-                    params, target, encode(ids), actions, rewards, encode(next_ids), not_done, gamma
+                    params, target, ws.x, actions, rewards, ws.next_x, not_done, gamma, ws
                 )
                 sgd_step(params, grad, hp.learning_rate)
-            if not np.isfinite(last_loss) or not params.all_finite():
+            if not math.isfinite(last_loss) or not params.all_finite(finite):
                 raise DivergenceError(
                     f"non-finite parameters after update at step {step}"
                 )
@@ -472,6 +549,12 @@ def train_dqn(
             s = obs if partial_obs else state
             ep_return = 0.0
     return params, metrics
+
+
+def replay_rows(hp: DqnHyperparams) -> int:
+    """The rows of ``train_dqn``'s replay: a ring that never wraps holds the
+    same rows as one sized for the run."""
+    return max(1, min(hp.buffer_capacity, hp.total_steps))
 
 
 #: State ids per ``forward_batch`` call of ``greedy_policy``, which bounds
@@ -488,6 +571,25 @@ def greedy_policy(params: MlpParams, env_params: EnvParams, profile: WorkerProfi
         forward_batch(params, encode(ids[i : i + _READOUT_CHUNK])).argmax(axis=1)
         for i in range(0, len(ids), _READOUT_CHUNK)
     ])
+
+
+#: The bytes that one DQN run may allocate; a config whose
+#: ``dqn_memory_bytes`` exceed it is rejected when it is parsed.
+MAX_DQN_BYTES = 1 << 30
+
+
+def dqn_memory_bytes(hp: DqnHyperparams, env_params: EnvParams) -> int:
+    """The bytes that a DQN run of ``hp`` on the workshop of ``env_params``
+    allocates up front: three parameter vectors (the network, its target
+    and ``sgd_step``'s scaled gradient), 32 per replay row, the Workspace
+    (which holds the gradient) when an update can run, and the layer rows
+    of one ``greedy_policy`` chunk."""
+    sizes = (feature_size(len(env_params.contexts)), *hp.hidden, len(ACTIONS))
+    rows = replay_rows(hp)
+    total = 3 * 8 * _num_params(sizes) + 32 * rows
+    if hp.batch_size <= rows:
+        total += Workspace.nbytes(sizes, hp.batch_size)
+    return total + 8 * min(_READOUT_CHUNK, num_states(env_params)) * sum(sizes)
 
 
 # ---------------------------------------------------------------------------

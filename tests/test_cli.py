@@ -247,6 +247,10 @@ class TestTrain:
             ("schedule", {"initial_q": "0.5"}),
             ("schedule", {"initial_q": float("inf")}),
             ("schedule", {"initial_q": 10**400}),
+            # over the DQN memory budget
+            ("dqn", {"hidden": [10**12]}),
+            ("dqn", {"hidden": [10**6, 10**6]}),
+            ("dqn", {"buffer_capacity": 10**12, "total_steps": 10**12}),
         ],
         ids=[
             "dqn-epsilon-number", "dqn-list", "schedule-list", "env-list",
@@ -254,6 +258,7 @@ class TestTrain:
             "env-fraction", "env-bool", "schedule-fraction", "dqn-bool",
             "env-float-bool", "env-int-string", "schedule-float-string",
             "dqn-hidden-string", "initial-q-string", "initial-q-infinite", "initial-q-huge",
+            "dqn-hidden-huge", "dqn-hidden-wide", "dqn-replay-huge",
         ],
     )
     @pytest.mark.parametrize("seed_override", [False, True], ids=["config-seed", "seed-override"])
@@ -365,6 +370,12 @@ class TestTrain:
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "dqn"]) == 0
         assert (Path(quick_config["output_dir"]) / "quick" / "network.bin").exists()
+
+    def test_batch_above_the_steps_runs(self, quick_config, write_config):
+        # no update can run, so no batch-sized buffer is allocated
+        quick_config["dqn"].update(batch=10**9, buffer_capacity=10**9, total_steps=100)
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "dqn"]) == 0
 
     def test_seed_env_var_overrides_config(self, quick_config, write_config, monkeypatch):
         monkeypatch.setenv("CPSSPERSO_SEED", "123")
@@ -574,6 +585,13 @@ class TestSweep:
         quick_config["schedule"]["episodes"] = float("inf")  # written as Infinity
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "tabular"]) == 2
+
+    def test_point_over_the_dqn_memory_budget_exits_2(self, quick_config, write_config, capsys):
+        quick_config["dqn"]["buffer_capacity"] = 10**12
+        path = write_config(quick_config)
+        assert main(["sweep", str(path), "--param", "dqn.total_steps", "--values", "10,1e12"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "budget" in err[0]
 
     @pytest.mark.parametrize("values", ["nan", "inf", "0.4,-inf"])
     def test_non_finite_value_on_a_float_key_exits_2(self, quick_config, write_config, capsys, values):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cpssperso.dqn import (
     MlpParams,
     ReplayBuffer,
     ShapeError,
+    Workspace,
     encode_features,
     feature_size,
     forward,
@@ -190,6 +193,48 @@ class TestLossAndGrad:
         assert loss < 1e-12
 
 
+class TestWorkspace:
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)], ids=["linear", "one-hidden", "two-hidden"])
+    def test_reused_workspace_matches_a_fresh_call(self, hidden):
+        rng = np.random.default_rng(11)
+        sizes = (3, *hidden, 2)
+        params, target = init_mlp(sizes, rng), init_mlp(sizes, rng)
+        ws = Workspace(sizes, 6)
+        for _ in range(5):
+            batch = random_batch(rng, 6, 3, 2)
+            fresh_loss, fresh_grad = loss_and_grad(params, target, *batch, 0.9)
+            loss, grad = loss_and_grad(params, target, *batch, 0.9, ws)
+            assert grad is ws.grad
+            assert loss == fresh_loss
+            assert np.array_equal(grad, fresh_grad)
+
+    @pytest.mark.parametrize(
+        "sizes, n", [((3, 4, 2), 5), ((3, 5, 2), 6), ((4, 4, 2), 6), ((3, 2), 6)],
+        ids=["batch", "hidden", "input", "depth"],
+    )
+    def test_workspace_of_another_shape_rejected(self, sizes, n):
+        rng = np.random.default_rng(12)
+        params = init_mlp((3, 4, 2), rng)
+        batch = random_batch(rng, 6, 3, 2)
+        with pytest.raises(ShapeError):
+            loss_and_grad(params, params.copy(), *batch, 0.9, Workspace(sizes, n))
+
+    def test_target_of_another_shape_rejected(self):
+        rng = np.random.default_rng(13)
+        params = init_mlp((3, 4, 2), rng)
+        with pytest.raises(ShapeError):
+            loss_and_grad(params, init_mlp((3, 5, 2), rng), *random_batch(rng, 6, 3, 2), 0.9)
+
+    @pytest.mark.parametrize("sizes, n", [((15, 32, 32, 5), 32), ((3, 2), 1), ((7, 4, 3, 2), 5)])
+    def test_nbytes_counts_every_buffer(self, sizes, n):
+        ws = Workspace(sizes, n)
+        owned = [
+            a for value in vars(ws).values() for a in (value if isinstance(value, list) else [value])
+            if isinstance(a, np.ndarray) and a.base is None
+        ]
+        assert sum(a.nbytes for a in owned) == Workspace.nbytes(sizes, n)
+
+
 class TestParams:
     def test_weights_and_biases_are_views_of_the_flat_vector(self):
         params = init_mlp([3, 4, 2], np.random.default_rng(0))
@@ -347,6 +392,20 @@ class TestTraining:
         )
         assert metrics == []
         assert np.array_equal(params.flat, fresh.flat)
+
+    def test_batch_above_the_steps_allocates_no_batch(self):
+        # no update can run, so nothing of the batch's size is allocated
+        env = WorkshopEnv(EnvParams(seed=0))
+        hp = DqnHyperparams(batch_size=10**6, buffer_capacity=10**6, total_steps=100, seed=4)
+        tracemalloc.start()
+        try:
+            params, _ = train_dqn(env, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fresh = init_mlp((feature_size(1), 32, 32, env.num_actions), np.random.default_rng([4, 2]))
+        assert np.array_equal(params.flat, fresh.flat)
+        assert peak < hp.batch_size * feature_size(1) * 8 / 100
 
     def test_identical_seeds_give_identical_loss_curves(self):
         runs = []
