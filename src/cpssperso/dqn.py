@@ -34,6 +34,7 @@ from .workshop_env import (
     LOADS,
     PACES,
     WORKER_STATES,
+    ScalarDraws,
     dataclass_from_config,
     encode_state,
     num_states,
@@ -496,7 +497,7 @@ def train_dqn(
     params = init_mlp(sizes, np.random.default_rng([hp.seed, 2]))
     target = sync_target(params)
     buffer = ReplayBuffer(replay_rows(hp))
-    explore_rng = np.random.default_rng([hp.seed, 1])
+    explore_rng = ScalarDraws([hp.seed, 1])  # draws of default_rng([hp.seed, 1])
     replay_rng = np.random.default_rng([hp.seed, 3])
     gamma = env.params.gamma
     if hp.batch_size <= buffer.capacity:  # else no update ever runs
@@ -517,7 +518,7 @@ def train_dqn(
     for step in range(hp.total_steps):
         eps = hp.epsilon_at(step)
         if explore_rng.random() < eps:
-            a = int(explore_rng.integers(env.num_actions))
+            a = explore_rng.integers(env.num_actions)
         else:
             act_id[0] = s
             a = int(_forward_into(params, encode(act_id, act_x), act_layers, act_layers).argmax())

@@ -20,6 +20,7 @@ import numpy as np
 from .workshop_env import (
     EnvParams,
     FactoredModel,
+    ScalarDraws,
     WorkerProfile,
     WorkshopEnv,
     reward_table,
@@ -267,17 +268,19 @@ def train_tabular(
     """Epsilon-greedy Q-learning against the environment.
 
     Deterministic given the environment seed: exploration draws come from a
-    dedicated stream derived from it.  With ``partial_obs`` the learner sees
-    the noisy inference channel instead of the true worker state.  The table
-    starts at ``initial_q`` (zeros by default; see optimistic_initial_value
-    for the optimistic option).  The loop runs on state ids with
-    ``epsilon_greedy`` and ``q_update`` inlined, draw for draw and float
-    operation for float operation; the schedule has validated their
-    arguments once, and the env only yields ids in range.  While learning,
-    the table is one flat ``array`` of S x A floats, read and written as
-    Python floats; the returned ``QTable`` views the same memory.
+    dedicated stream derived from it, a ``ScalarDraws`` with the values of
+    ``np.random.default_rng([seed, 1])``.  With ``partial_obs`` the learner
+    sees the noisy inference channel instead of the true worker state.  The
+    table starts at ``initial_q`` (zeros by default; see
+    optimistic_initial_value for the optimistic option).  The loop runs on
+    state ids with ``epsilon_greedy`` and ``q_update`` inlined, draw for
+    draw and float operation for float operation; the schedule has
+    validated their arguments once, and the env only yields ids in range.
+    While learning, the table is one flat ``array`` of S x A floats, read
+    and written as Python floats; the returned ``QTable`` views the same
+    memory.
     """
-    rng = np.random.default_rng([env.params.seed, 1])
+    rng = ScalarDraws([env.params.seed, 1])
     n_a = env.num_actions
     values = array("d", [float(initial_q)]) * (env.num_states * n_a)
     eta = schedule.learning_rate
@@ -291,7 +294,7 @@ def train_tabular(
         max_td = 0.0
         for _ in range(env.params.horizon):
             if eps > 0.0 and rng.random() < eps:
-                a = int(rng.integers(n_a))
+                a = rng.integers(n_a)
             else:
                 row = values[i : i + n_a]
                 a = row.index(max(row))  # the first maximum, as argmax

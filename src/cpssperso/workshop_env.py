@@ -750,16 +750,23 @@ def _influence_mask(params: EnvParams) -> int:
     return sum(1 << (k - 1 - i) for i, c in enumerate(params.contexts) if c.influences_worker)
 
 
-def worker_need_ids(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
-    """The action index of ``worker_need`` for every state id, from an
-    (18, 2) table over the worker and the flag "any influencing machine
-    degraded", the only way the rule sees the machines."""
+def _worker_need_table(profile: WorkerProfile) -> np.ndarray:
+    """The action index of ``worker_need`` as an (18, 2) table over the
+    worker and the flag "any influencing machine degraded", the only way
+    the rule sees the machines."""
     table = np.empty((len(WORKER_STATES), 2), dtype=np.intp)
     for flag, condition in enumerate((MachineCondition.OK, MachineCondition.DEGRADED)):
         probe = (ContextElement("probe", condition, True),)
         for w, ws in enumerate(WORKER_STATES):
             need = worker_need(WorkshopState(ws, TeamState(Pressure.LOW), probe), profile)
             table[w, flag] = ACTION_INDEX[need]
+    return table
+
+
+def worker_need_ids(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
+    """The action index of ``worker_need`` for every state id, from
+    ``_worker_need_table``."""
+    table = _worker_need_table(profile)
     k = len(params.contexts)
     flags = (np.arange(1 << k) & _influence_mask(params)) != 0
     # state id = (worker * 2 + pressure) << k | machine bits
@@ -795,6 +802,86 @@ def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Scalar random draws
+# ---------------------------------------------------------------------------
+
+#: 64-bit words per ``random_raw`` call of ``ScalarDraws``, held as two
+#: 8 KB ``array``s.
+_DRAW_BLOCK = 1024
+
+
+class ScalarDraws:
+    """``np.random.default_rng(seed).random()`` and ``.integers(n)``, one
+    value per call, with the values and stream consumption of those calls.
+
+    The words of the generator's PCG64 stream are drawn ``_DRAW_BLOCK`` at a
+    time by one ``random_raw`` call, the first block on the first draw, and
+    read as Python scalars from ``array``s.  ``random()`` is a word's upper
+    53 bits times 2**-53.  ``integers(n)`` is numpy's bounded draw on 32-bit
+    values (Lemire 2019): a value is the low half of a word, and the high
+    half is kept for the next one, as PCG64 does.  Calls of either kind may
+    be mixed in any order, as on a ``Generator``.
+    """
+
+    __slots__ = ("_bitgen", "_words", "_floats", "_i", "_half")
+
+    def __init__(self, seed):
+        self._bitgen = np.random.default_rng(seed).bit_generator
+        self._words = array("Q")
+        self._floats = array("d")
+        self._i = _DRAW_BLOCK  # the first draw fills the first block
+        #: the high half of the last word split for a 32-bit value, if unread
+        self._half: int | None = None
+
+    def _refill(self) -> None:
+        raw = self._bitgen.random_raw(_DRAW_BLOCK)
+        self._words = array("Q", raw.tobytes())
+        self._floats = array("d", ((raw >> np.uint64(11)) * 2.0**-53).tobytes())
+
+    def random(self) -> float:
+        """A float in [0, 1), as ``Generator.random()``."""
+        i = self._i
+        if i == _DRAW_BLOCK:
+            self._refill()
+            i = 0
+        self._i = i + 1
+        return self._floats[i]
+
+    def _next32(self) -> int:
+        """The kept high half of a word if there is one, else the low half
+        of the next word."""
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        i = self._i
+        if i == _DRAW_BLOCK:
+            self._refill()
+            i = 0
+        self._i = i + 1
+        word = self._words[i]
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        """An int in [0, n), as ``Generator.integers(n)``, for
+        ``1 <= n <= 2**32``; ``integers(1)`` is 0 and draws nothing.  Any
+        other ``n`` raises ``ValueError``."""
+        if not 2 <= n < 1 << 32:
+            if n == 1:
+                return 0
+            if n == 1 << 32:
+                return self._next32()
+            raise ValueError(f"n must be in [1, 2**32], got {n}")
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+
+# ---------------------------------------------------------------------------
 # Environment
 # ---------------------------------------------------------------------------
 
@@ -802,7 +889,8 @@ def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
 class WorkshopEnv:
     """Episodic environment over the workshop MDP.
 
-    Owns a private random stream seeded from ``params.seed`` at construction;
+    Owns a private random stream seeded from ``params.seed`` at construction
+    (a ``ScalarDraws``, the values of ``np.random.default_rng([seed, 0])``);
     ``reset()`` starts a new episode on the continuing stream, while
     ``reset(seed=...)`` reseeds first (two environments built from equal
     params produce bit-identical trajectories for equal action sequences).
@@ -818,7 +906,7 @@ class WorkshopEnv:
     def __init__(self, params: EnvParams, profile: WorkerProfile | None = None):
         self.params = params
         self.profile = profile if profile is not None else WorkerProfile()
-        self._rng = np.random.default_rng([params.seed, 0])
+        self._rng = ScalarDraws([params.seed, 0])
         self._start = encode_state(initial_state(params, self.profile))
         self._s: int | None = None
         self._t = 0
@@ -835,14 +923,15 @@ class WorkshopEnv:
     def reset_id(self, seed: int | None = None) -> tuple[int, int]:
         """Start an episode; returns the initial state id and its observed id."""
         if seed is not None:
-            self._rng = np.random.default_rng([seed, 0])
+            self._rng = ScalarDraws([seed, 0])
         self._s, self._t = self._start, 0
         return self._start, self._observe_id(self._start)
 
     def step_id(self, a: int) -> tuple[int, int, float, bool]:
         """Take the action of index ``a``; returns the next state id, its
         observed id, the reward total and whether the horizon is reached.
-        Draws one ``random()`` for the transition, then the channel's.  The
+        Draws one ``random()`` for the transition, then the channel's, from
+        the env's ``ScalarDraws``, bit-identical to ``Generator`` calls.  The
         next state is the first whose cumulative probability exceeds the
         draw (``bisect_right``), the last one should rounding leave the
         sum below it.  An action outside ``[0, num_actions)`` raises
@@ -865,7 +954,7 @@ class WorkshopEnv:
         if self._rng.random() < self.params.alpha:
             return s
         shift = self._worker_shift
-        j = int(self._rng.integers(len(WORKER_STATES) - 1))
+        j = self._rng.integers(len(WORKER_STATES) - 1)
         if j >= s >> shift:
             j += 1
         return (j << shift) | (s & ((1 << shift) - 1))
@@ -909,14 +998,39 @@ class WorkshopEnv:
             if not 0 <= a_idx < self.num_actions:
                 raise IndexError(f"action index {a_idx} out of range [0, {self.num_actions})")
             ids, probs = self._model.row(s_idx, a_idx)
-            reward = reward_fn(self._decode_cached(s_idx), ACTIONS[a_idx], self.params, self.profile)
+            reward = self._reward(s_idx, a_idx)
             # written in place through numpy views: no temporary copies
             next_ids, cum = array("q", [0]) * len(ids), array("d", [0.0]) * len(ids)
             np.frombuffer(next_ids, dtype=np.int64)[:] = ids
             np.cumsum(probs, out=np.frombuffer(cum))
-            row = (next_ids, cum, reward.total)
+            row = (next_ids, cum, reward)
             self._rows[key] = row
         return row
+
+    def _reward(self, s: int, a: int) -> float:
+        """``reward_fn(...).total`` of (s, a) from the id, with no decoded
+        state: the terms of ``reward_table`` (the worker-need table, the
+        pressure bit, the influencing machine bits) as ``reward_fn`` picks
+        them, summed by ``composite_total``."""
+        mags = self.params.rewards
+        k = self._worker_shift - 1
+        flag = int((s & self._model.influence_mask) != 0)
+        need = self._worker_need[s >> self._worker_shift][flag]
+        r_worker = mags.worker_match if a == need else mags.worker_mismatch
+        held_under_pressure = (s >> k) & 1 and ACTIONS[a] is Action.HOLD
+        r_team = mags.team_bad if held_under_pressure else mags.team_ok
+        unsafe = ACTIONS[a] in _UNSAFE_ACTIONS
+        r_context = tuple(
+            mags.context_unsafe if unsafe and (s >> (k - 1 - i)) & 1 else 0.0
+            for i, c in enumerate(self.params.contexts)
+            if c.influences_worker
+        )
+        return composite_total(r_worker, r_team, r_context, self.params.weights)
+
+    @functools.cached_property
+    def _worker_need(self) -> list[list[int]]:
+        """``_worker_need_table`` as lists, read as ``[worker][flag]``."""
+        return _worker_need_table(self.profile).tolist()
 
 
 # ---------------------------------------------------------------------------

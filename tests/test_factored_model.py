@@ -7,6 +7,8 @@ equal what ``transition_model`` and ``reward_fn`` give, bit for bit; the
 matrix-free ``expect`` must match the dense product to rounding, and value
 iteration through it must match value iteration on the dense matrix."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from cpssperso.workshop_env import (
     ContextConfig,
     EnvParams,
     FactoredModel,
+    RewardMagnitudes,
     WorkerProfile,
     WorkshopEnv,
     decode_state,
@@ -134,6 +137,30 @@ else:
     @pytest.mark.parametrize("seed", range(EXAMPLES))
     def test_factored_model_matches_reference(seed):
         check_against_reference(*sample_config(RngDraw(seed)))
+
+
+#: Reward magnitudes for the row-reward test: a signed zero makes a sum
+#: whose terms are dropped or reordered differ in its sign bit.
+MAGNITUDES = (-0.0, 0.0, 1.0, -2.5, 0.1, 1e-300)
+
+
+@pytest.mark.parametrize("seed", range(EXAMPLES))
+def test_row_rewards_are_reward_fn_bit_for_bit(seed):
+    """A row takes its reward from the id's factors, never from a decoded
+    state: on the sampled configs, with sampled reward magnitudes, every
+    (s, a) row's reward is ``reward_fn(...).total`` bit for bit, and the
+    row builds decode nothing."""
+    draw = RngDraw(seed)
+    params, profile = sample_config(draw)
+    params = replace(params, rewards=RewardMagnitudes(*(draw.choice(MAGNITUDES) for _ in range(5))))
+    env = WorkshopEnv(params, profile)
+    for s in range(num_states(params)):
+        state = decode_state(s, params)
+        for a, action in enumerate(ACTIONS):
+            want = reward_fn(state, action, params, profile).total
+            got = env._row(s, a)[2]
+            assert type(got) is float and got.hex() == want.hex(), (s, a)
+    assert not env._decoded
 
 
 @pytest.mark.parametrize("prob", [0.0, 1.0], ids=["zero", "one"])
