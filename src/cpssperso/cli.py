@@ -350,10 +350,32 @@ def _load_policy(artifact_file: Path, cfg: ExperimentConfig) -> np.ndarray:
     return dqn_mod.greedy_policy(params, cfg.env_params, cfg.profile)
 
 
+def _trained_on_observations(artifact: Path) -> bool:
+    """Whether the run that wrote ``artifact`` trained with ``--partial-obs``,
+    as its ``run.json`` records.  An artifact with no manifest beside it, or
+    beside one that does not name it, acts on the true state."""
+    manifest_path = artifact.with_name("run.json")
+    if not manifest_path.is_file():
+        return False
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if artifact.name not in manifest["artifact_files"]:
+            return False
+        partial_obs = manifest["partial_obs"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{manifest_path}: bad run manifest: {exc!r}") from exc
+    if not isinstance(partial_obs, bool):
+        raise ConfigError(f"{manifest_path}: partial_obs must be true or false, got {partial_obs!r}")
+    return partial_obs
+
+
 def cmd_evaluate(artifact_file: str, config_file: str, episodes: int) -> int:
     cfg = load_experiment_config(config_file)
     artifact = Path(artifact_file)
-    summary = evaluate_policy(cfg.env_params, cfg.profile, _load_policy(artifact, cfg), episodes)
+    policy = _load_policy(artifact, cfg)
+    partial_obs = _trained_on_observations(artifact)
+    summary = evaluate_policy(cfg.env_params, cfg.profile, policy, episodes, partial_obs)
     # an empty evaluation reports its episode count only
     out = asdict(summary) if summary.episodes else {"episodes": 0}
     print(json.dumps(out, sort_keys=True))

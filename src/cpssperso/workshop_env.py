@@ -694,22 +694,23 @@ class FactoredModel:
                 np.multiply(self._worker_team(a, bits)[:, :, None], m_row, out=blocks[:, bits, a])
         return p
 
-    def expect(self, v: np.ndarray) -> np.ndarray:
+    def expect(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``dense() @ v`` as an (S, A) array, without building the dense
         matrix: each action's machine kernel is applied to ``v`` over the
         machine bits, then its worker x pressure kernel over the worker and
         pressure, with the kernel of each machine-bit column's flag.  The
         sums run in another order than the matrix product's, so the two
-        agree to rounding, not bit for bit."""
+        agree to rounding, not bit for bit.  The result is written into
+        ``out``, a C-contiguous (A, S) float64 array, so that a caller that
+        expects once per sweep allocates no array of its size, and is
+        returned as its (S, A) view."""
         _, n_a, n_wt, _ = self.worker_team.shape
         n_m = 1 << self.num_machines
-        flags = (np.arange(n_m) & self.influence_mask) != 0
-        # every column takes the kernel of the commoner flag, then the
-        # columns of the other flag are done again with their own
-        major = int(2 * np.count_nonzero(flags) > n_m)
-        minor = np.flatnonzero(flags != major)
-        out = np.empty((n_a, n_wt, n_m))
-        for actions, powers in self._machine_kernels:
+        minor, groups = self._machine_kernels
+        if out.shape != (n_a, n_wt * n_m) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {(n_a, n_wt * n_m)}")
+        out = out.reshape(n_a, n_wt, n_m)
+        for actions, powers, wt_major, wt_minor, block in groups:
             u = v.reshape(n_wt, n_m)
             for power in powers:
                 # sum over the lowest bits, then move them to the front so
@@ -717,17 +718,22 @@ class FactoredModel:
                 n = len(power)
                 u = (u.reshape(-1, n) @ power.T).reshape(n_wt, -1, n).transpose(0, 2, 1)
             u = u.reshape(n_wt, n_m)
-            out[actions] = self.worker_team[major, actions] @ u
+            out[actions] = wt_major @ u
             if minor.size:
-                block = np.ix_(actions, np.arange(n_wt), minor)
-                out[block] = self.worker_team[1 - major, actions] @ u[:, minor]
+                out[block] = wt_minor @ u[:, minor]
         return out.transpose(1, 2, 0).reshape(-1, n_a)
 
     @functools.cached_property
-    def _machine_kernels(self) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-        """The actions that share each distinct (bit, next bit) machine
-        kernel, and Kronecker powers of that kernel that together cover the
-        machine bits, ``_KRON_BITS`` bits at most each."""
+    def _machine_kernels(self) -> tuple[np.ndarray, list[tuple]]:
+        """What ``expect`` needs of the model, built once.  Every machine-bit
+        column takes the worker x pressure kernel of the commoner flag
+        (``major``), then the ``minor`` columns, of the other flag, are done
+        again with their own.  Returns ``minor`` and, for each distinct
+        (bit, next bit) machine kernel: the actions that share it, Kronecker
+        powers of it that together cover the machine bits, ``_KRON_BITS``
+        bits at most each, the actions' major and minor worker x pressure
+        kernels, and the ``np.ix_`` block of the minor columns (those two
+        ``None`` when there are none)."""
         groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for a, outcomes in enumerate(self.machine_outcomes):
             kernel = np.zeros((2, 2))
@@ -737,10 +743,21 @@ class FactoredModel:
             groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
         full, rest = divmod(self.num_machines, _KRON_BITS)
         chunks = [_KRON_BITS] * full + ([rest] if rest else [])
-        return [
-            (np.array(actions), [functools.reduce(np.kron, [kernel] * g) for g in chunks])
-            for kernel, actions in groups.values()
-        ]
+        n_wt = self.worker_team.shape[2]
+        n_m = 1 << self.num_machines
+        flags = (np.arange(n_m) & self.influence_mask) != 0
+        major = int(2 * np.count_nonzero(flags) > n_m)
+        minor = np.flatnonzero(flags != major)
+        kernels = []
+        for kernel, actions in groups.values():
+            actions = np.array(actions)
+            powers = [functools.reduce(np.kron, [kernel] * g) for g in chunks]
+            wt_minor = block = None
+            if minor.size:
+                wt_minor = self.worker_team[1 - major, actions]
+                block = np.ix_(actions, np.arange(n_wt), minor)
+            kernels.append((actions, powers, self.worker_team[major, actions], wt_minor, block))
+        return minor, kernels
 
 
 def _influence_mask(params: EnvParams) -> int:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from cpssperso import cli
 from cpssperso.cli import main, moving_average
-from cpssperso.rl_core import QTable, save_qtable
+from cpssperso.rl_core import QTable, evaluate_policy, greedy_policy, load_qtable, save_qtable
 
 pytestmark = pytest.mark.usefixtures("chdir_tmp")
 
@@ -451,6 +452,46 @@ class TestEvaluate:
         cfg, run_dir = self._trained_run(quick_config, write_config)
         (run_dir / "qtable_eval.json").mkdir()
         assert main(["evaluate", str(run_dir / "qtable.bin"), str(cfg), "--episodes", "2"]) == 3
+
+    def test_partial_obs_artifact_evaluates_through_the_channel(self, quick_config, write_config, capsys):
+        """The run manifest of a ``--partial-obs`` artifact makes evaluate act
+        on the observation, as the policy was trained to."""
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular", "--partial-obs"]) == 0
+        artifact = Path(quick_config["output_dir"]) / "quick" / "qtable.bin"
+        assert main(["evaluate", str(artifact), str(path), "--episodes", "20"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload == json.loads(artifact.with_name("qtable_eval.json").read_text())
+        cfg = cli.load_experiment_config(path)
+        policy = greedy_policy(load_qtable(artifact)[0])
+        seen = asdict(evaluate_policy(cfg.env_params, cfg.profile, policy, 20, partial_obs=True))
+        true = asdict(evaluate_policy(cfg.env_params, cfg.profile, policy, 20))
+        assert payload == seen != true
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ["{", "[]", '{"artifact_files": ["qtable.bin"]}', '{"artifact_files": ["qtable.bin"], "partial_obs": 1}'],
+        ids=["truncated", "not-an-object", "no-partial-obs", "not-a-bool"],
+    )
+    def test_bad_manifest_exits_2(self, quick_config, write_config, manifest):
+        cfg, run_dir = self._trained_run(quick_config, write_config)
+        (run_dir / "run.json").write_text(manifest)
+        assert main(["evaluate", str(run_dir / "qtable.bin"), str(cfg), "--episodes", "2"]) == 2
+        assert not (run_dir / "qtable_eval.json").exists()
+
+    def test_manifest_of_another_artifact_is_not_read(self, quick_config, write_config, capsys):
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 0
+        run_dir = Path(quick_config["output_dir"]) / "quick"
+        assert main(["evaluate", str(run_dir / "qtable.bin"), str(path), "--episodes", "20"]) == 0
+        first = capsys.readouterr().out.strip().splitlines()[-1]
+        assert main(["train", str(path), "--agent", "dqn", "--partial-obs"]) == 0
+        assert main(["evaluate", str(run_dir / "qtable.bin"), str(path), "--episodes", "20"]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == first
+        cfg = cli.load_experiment_config(path)
+        policy = greedy_policy(load_qtable(run_dir / "qtable.bin")[0])
+        seen = evaluate_policy(cfg.env_params, cfg.profile, policy, 20, partial_obs=True)
+        assert json.loads(first) != asdict(seen)
 
     def test_network_artifact_evaluates(self, quick_config, write_config, capsys):
         path = write_config(quick_config)

@@ -111,7 +111,8 @@ def check_against_reference(params: EnvParams, profile: WorkerProfile) -> None:
         assert total == r_ref[s, a]
         assert np.all(np.diff(cum, prepend=0.0) >= 0.0) and abs(cum[-1] - 1.0) <= 1e-12
     v = np.random.default_rng(n).normal(size=n)
-    assert np.max(np.abs(mdp.expect(v) - p_ref @ v)) <= 1e-12 * np.max(np.abs(v))
+    ev = mdp.expect(v, np.empty(mdp.rewards.shape[::-1]))
+    assert np.max(np.abs(ev - p_ref @ v)) <= 1e-12 * np.max(np.abs(v))
     q = value_iteration(mdp, params.gamma, 1e-9)
     q_dense = value_iteration(FiniteMdp(p_ref, r_ref), params.gamma, 1e-9)
     assert np.max(np.abs(q.values - q_dense.values)) <= 1e-9
@@ -202,7 +203,7 @@ def test_expect_matches_rows_beyond_one_kronecker_chunk(k):
     model = FactoredModel(params, WorkerProfile(Pace.SLOW))
     rng = np.random.default_rng(k)
     v = rng.normal(size=num_states(params))
-    ev = model.expect(v)
+    ev = model.expect(v, np.empty((len(ACTIONS), num_states(params))))
     for s in rng.choice(num_states(params), size=40, replace=False):
         for a in range(len(ACTIONS)):
             ids, probs = model.row(int(s), a)

@@ -3,6 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from cpssperso import rl_core
 from cpssperso.rl_core import (
     EpisodeMetrics,
     EvalSummary,
@@ -402,6 +403,68 @@ class TestEvaluatePolicy:
             assert all(type(value) is float for value in astuple(summary)[1:])
             violated += summary.safety_violation_rate > 0
         assert violated >= 5
+
+    @staticmethod
+    def trajectories(monkeypatch, params, pi, episodes, partial_obs):
+        """The summary of an evaluation, and every episode of it as its
+        (true state, observed id, action) steps."""
+        episodes_seen = []
+
+        class RecordingEnv(WorkshopEnv):
+            def reset_id(self, seed=None):
+                episodes_seen.append([])
+                s, self.obs = super().reset_id(seed)
+                return s, self.obs
+
+            def step_id(self, a):
+                episodes_seen[-1].append((self._s, self.obs, a))
+                nxt, self.obs, reward, done = super().step_id(a)
+                return nxt, self.obs, reward, done
+
+        monkeypatch.setattr(rl_core, "WorkshopEnv", RecordingEnv)
+        summary = evaluate_policy(params, PROFILE, pi, episodes, partial_obs=partial_obs)
+        return summary, episodes_seen
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partial_obs_replays_the_full_obs_draws(self, seed, monkeypatch):
+        """With equal seeds, acting on the observation follows the same true
+        states and observations as acting on the true state for as long as
+        the actions agree: the same draws, in the same order."""
+        rng = np.random.default_rng(seed)
+        params = EnvParams(
+            alpha=0.6, contexts=(ContextConfig("m0"), ContextConfig("m1", False)), machine_degrade_p=0.3, seed=seed
+        )
+        pi = rng.integers(len(ACTIONS), size=num_states(params))
+        _, full = self.trajectories(monkeypatch, params, pi, 12, False)
+        _, partial = self.trajectories(monkeypatch, params, pi, 12, True)
+        assert len(full) == len(partial) == 12
+        diverged = agreed_on_misread = 0
+        for ep_full, ep_partial in zip(full, partial):
+            for (s, obs, a), (s_p, obs_p, a_p) in zip(ep_full, ep_partial):
+                assert (s, obs) == (s_p, obs_p)
+                assert a == pi[s] and a_p == pi[obs]
+                if a != a_p:
+                    diverged += 1
+                    break
+                agreed_on_misread += obs != s
+        assert diverged >= 3 and agreed_on_misread >= 1
+
+    def test_partial_obs_of_a_worker_blind_policy_is_the_full_obs_run(self, monkeypatch):
+        """A policy that ignores the worker acts alike on every misread, so
+        both evaluations take the same steps and report the same summary,
+        although the channel misreads."""
+        params = EnvParams(alpha=0.5, contexts=(ContextConfig("m0"), ContextConfig("m1")), seed=3)
+        rest = num_states(params) // 18
+        pi = np.tile(np.random.default_rng(3).integers(len(ACTIONS), size=rest), 18)
+        summary, full = self.trajectories(monkeypatch, params, pi, 10, False)
+        summary_p, partial = self.trajectories(monkeypatch, params, pi, 10, True)
+        assert summary_p == summary and partial == full
+        assert any(obs != s for ep in full for s, obs, _ in ep)
+
+    def test_partial_obs_without_misreads_is_the_full_obs_run(self):
+        params = EnvParams(alpha=1.0, contexts=(ContextConfig("m0"),), seed=5)
+        pi = np.random.default_rng(5).integers(len(ACTIONS), size=num_states(params))
+        assert evaluate_policy(params, PROFILE, pi, 8, partial_obs=True) == evaluate_policy(params, PROFILE, pi, 8)
 
     def test_policy_of_another_shape_rejected(self):
         with pytest.raises(ValueError):

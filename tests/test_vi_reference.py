@@ -1,0 +1,203 @@
+"""Value iteration and ``FactoredModel.expect`` against the code they
+replaced, byte for byte.
+
+``reference_value_iteration`` is the state-major loop: Q as an (S, A) array,
+each sweep ``r + gamma * expect(q.max(axis=1))``.  ``reference_expect`` is
+the ``expect`` that rebuilt its flags, kernel copies and index block on
+every call.  The solver sweeps (A, S) buffers and ``expect`` reads those
+constants from a cache; neither may change a byte of Q or of the expectation,
+nor of the file ``save_qtable`` writes."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from cpssperso.rl_core import (
+    FiniteMdp,
+    InvalidToleranceError,
+    QTable,
+    WorkshopMdp,
+    bellman_residual,
+    save_qtable,
+    value_iteration,
+)
+from cpssperso.workshop_env import (
+    _KRON_BITS,
+    ContextConfig,
+    EnvParams,
+    FactoredModel,
+    Pace,
+    WorkerProfile,
+    num_states,
+)
+from test_factored_model import EXAMPLES, HypothesisDraw, RngDraw, sample_config, st
+
+
+def reference_value_iteration(rewards, expect, gamma, tolerance):
+    """The state-major solver: ``q`` and ``nxt`` are (S, A) arrays."""
+    if tolerance <= 0:
+        raise InvalidToleranceError(f"tolerance must be positive, got {tolerance}")
+    q = np.zeros_like(rewards)
+    rmax = float(np.max(np.abs(rewards), initial=0.0))
+    if rmax == 0.0:
+        return q
+    max_sweeps = (
+        math.ceil(math.log(tolerance * (1.0 - gamma) / rmax) / math.log(gamma)) + 1
+        if gamma > 0.0
+        else 1
+    )
+    for _ in range(max(max_sweeps, 1) + 2):
+        nxt = rewards + gamma * expect(q.max(axis=1))
+        delta = float(np.max(np.abs(nxt - q)))
+        q = nxt
+        if delta <= tolerance:
+            return q
+    raise RuntimeError("value iteration failed to converge within its sweep bound")
+
+
+def reference_residual(q, rewards, expect, gamma):
+    backup = rewards + gamma * expect(q.max(axis=1))
+    return float(np.max(np.abs(q - backup)))
+
+
+def reference_kernels(model: FactoredModel):
+    """The (actions, Kronecker powers) groups, as ``expect`` built them."""
+    groups = {}
+    for a, outcomes in enumerate(model.machine_outcomes):
+        kernel = np.zeros((2, 2))
+        for bit, pairs in enumerate(outcomes):
+            for nxt, p in pairs:
+                kernel[bit, nxt] = p
+        groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
+    full, rest = divmod(model.num_machines, _KRON_BITS)
+    chunks = [_KRON_BITS] * full + ([rest] if rest else [])
+    return [
+        (np.array(actions), [functools.reduce(np.kron, [kernel] * g) for g in chunks])
+        for kernel, actions in groups.values()
+    ]
+
+
+def reference_expect(model: FactoredModel, v, kernels):
+    """``FactoredModel.expect`` with every per-model constant rebuilt per
+    call."""
+    _, n_a, n_wt, _ = model.worker_team.shape
+    n_m = 1 << model.num_machines
+    flags = (np.arange(n_m) & model.influence_mask) != 0
+    major = int(2 * np.count_nonzero(flags) > n_m)
+    minor = np.flatnonzero(flags != major)
+    out = np.empty((n_a, n_wt, n_m))
+    for actions, powers in kernels:
+        u = v.reshape(n_wt, n_m)
+        for power in powers:
+            n = len(power)
+            u = (u.reshape(-1, n) @ power.T).reshape(n_wt, -1, n).transpose(0, 2, 1)
+        u = u.reshape(n_wt, n_m)
+        out[actions] = model.worker_team[major, actions] @ u
+        if minor.size:
+            block = np.ix_(actions, np.arange(n_wt), minor)
+            out[block] = model.worker_team[1 - major, actions] @ u[:, minor]
+    return out.transpose(1, 2, 0).reshape(-1, n_a)
+
+
+def check_solver(mdp: FiniteMdp, expect, gamma: float, tmp_path, tolerance: float = 1e-9) -> None:
+    """Q, its file and its residual equal the state-major solver's, byte for
+    byte; ``expect`` is the reference operator of ``mdp``."""
+    q = value_iteration(mdp, gamma, tolerance)
+    q_ref = reference_value_iteration(mdp.rewards, expect, gamma, tolerance)
+    assert q.values.shape == q_ref.shape
+    assert q.values.tobytes() == q_ref.tobytes()
+    save_qtable(q, gamma, tmp_path / "q.bin")
+    save_qtable(QTable(q_ref), gamma, tmp_path / "q_ref.bin")
+    assert (tmp_path / "q.bin").read_bytes() == (tmp_path / "q_ref.bin").read_bytes()
+    assert bellman_residual(q, mdp, gamma) == reference_residual(q_ref, mdp.rewards, expect, gamma)
+
+
+def check_workshop(params: EnvParams, profile: WorkerProfile, tmp_path, gammas=None) -> None:
+    mdp = FiniteMdp.from_env(params, profile)
+    kernels = reference_kernels(mdp.model)
+    v = np.random.default_rng(num_states(params)).normal(size=num_states(params))
+    out = np.full(mdp.rewards.shape[::-1], np.nan)
+    ev = mdp.expect(v, out)
+    assert ev.tobytes() == out.T.tobytes() == reference_expect(mdp.model, v, kernels).tobytes()
+    for gamma in gammas or (params.gamma,):
+        check_solver(mdp, lambda v: reference_expect(mdp.model, v, kernels), gamma, tmp_path)
+
+
+if st is not None:
+    from hypothesis import given, settings
+
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_sampled_configs_match_the_state_major_solver(tmp_path_factory, data):
+        tmp_path = tmp_path_factory.mktemp("q")
+        check_workshop(*sample_config(HypothesisDraw(data)), tmp_path)
+
+else:
+
+    @pytest.mark.parametrize("seed", range(EXAMPLES))
+    def test_sampled_configs_match_the_state_major_solver(seed, tmp_path):
+        check_workshop(*sample_config(RngDraw(seed)), tmp_path)
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_beyond_one_kronecker_chunk(k, tmp_path):
+    params = EnvParams(
+        contexts=tuple(ContextConfig(f"m{i}", i % 3 != 1) for i in range(k)), machine_degrade_p=0.3
+    )
+    check_workshop(params, WorkerProfile(Pace.SLOW), tmp_path)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_workshop_at_gamma_zero(k, tmp_path):
+    params = EnvParams(contexts=tuple(ContextConfig(f"m{i}", i != 1) for i in range(k)))
+    check_workshop(params, WorkerProfile(), tmp_path, gammas=(0.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((36, 5)), np.empty((5, 36), dtype=np.float32), np.empty((36, 5)).T, np.empty((5, 72))[:, ::2]],
+    ids=["state-major", "float32", "fortran", "strided"],
+)
+def test_expect_rejects_an_out_it_cannot_write_in_place(out):
+    model = FactoredModel(EnvParams(contexts=()), WorkerProfile())
+    with pytest.raises(ValueError):
+        model.expect(np.zeros(36), out)
+
+
+def dense_mdps():
+    one = FiniteMdp(np.ones((1, 1, 1)), np.array([[1.0]]))
+    chain = np.zeros((2, 2, 2))
+    chain[:, :, 1] = 1.0
+    rng = np.random.default_rng(13)
+    p = rng.dirichlet(np.ones(7), size=(7, 3))
+    return {
+        "one-state": one,
+        "two-state-chain": FiniteMdp(chain, np.array([[1.0, 1.0], [0.0, 0.0]])),
+        "random": FiniteMdp(p, rng.uniform(-1.0, 1.0, size=(7, 3))),
+    }
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("name", list(dense_mdps()))
+def test_dense_mdps(name, gamma, tmp_path):
+    mdp = dense_mdps()[name]
+    v = np.random.default_rng(5).normal(size=mdp.num_states)
+    out = np.full(mdp.rewards.shape[::-1], np.nan)
+    ev = mdp.expect(v, out)
+    assert ev.tobytes() == out.T.tobytes() == (mdp.transitions @ v).tobytes()
+    check_solver(mdp, lambda v: mdp.transitions @ v, gamma, tmp_path, tolerance=1e-12)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+def test_all_zero_rewards(zero, tmp_path):
+    params = EnvParams(contexts=(ContextConfig("m0"), ContextConfig("m1", False)))
+    workshop = FiniteMdp.from_env(params, WorkerProfile())
+    kernels = reference_kernels(workshop.model)
+    zeros = np.full(workshop.rewards.shape, zero)
+    mdp = WorkshopMdp(workshop.model, zeros)
+    check_solver(mdp, lambda v: reference_expect(mdp.model, v, kernels), 0.95, tmp_path)
+    dense = dense_mdps()["random"]
+    mdp = FiniteMdp(dense.transitions, np.full(dense.rewards.shape, zero))
+    check_solver(mdp, lambda v: mdp.transitions @ v, 0.9, tmp_path)
