@@ -73,6 +73,7 @@ from .workshop_env import (  # noqa: F401
 from .dqn import (  # noqa: F401
     DivergenceError,
     DqnHyperparams,
+    EpsilonDecay,
     MlpParams,
     ReplayBuffer,
     forward,

@@ -16,7 +16,6 @@ import copy
 import csv
 import hashlib
 import json
-import math
 import os
 import struct
 import sys
@@ -35,8 +34,9 @@ from .meta_model import (
     load_graph,
     validate_graph,
 )
-from .personalisation import objectives_from_config
+from .personalisation import detect_conflicts, objectives_from_config
 from .rl_core import (
+    QTABLE_MAGIC,
     FiniteMdp,
     LearningSchedule,
     evaluate_policy,
@@ -52,6 +52,7 @@ from .workshop_env import (
     EnvParams,
     WorkerProfile,
     WorkshopEnv,
+    _cast,
     dataclass_from_config,
     env_params_from_config,
     num_states,
@@ -62,6 +63,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 SEED_ENV_VAR = "CPSSPERSO_SEED"
+
+#: The keys of a config document; any other top-level key is an error.
+CONFIG_KEYS = frozenset({"env", "schedule", "dqn", "roles", "objectives", "output_dir", "run_id"})
 
 
 class ConfigError(ValueError):
@@ -76,7 +80,6 @@ class ExperimentConfig:
     env_params: EnvParams
     profile: WorkerProfile
     schedule: LearningSchedule
-    initial_q: float
     dqn: dqn_mod.DqnHyperparams
     output_dir: Path
     run_id: str
@@ -92,45 +95,44 @@ def config_hash(raw: Mapping) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _schedule_from_config(raw: Mapping, env_params: EnvParams) -> tuple[LearningSchedule, float]:
-    """The LearningSchedule that the `schedule` section sets, and its
-    ``initial_q``: a finite number or the string "optimistic" (horizon-limited
-    return bound), zeros by default.  Unknown keys are rejected."""
-    try:
-        schedule = dataclass_from_config(
-            LearningSchedule, {k: v for k, v in raw.items() if k != "initial_q"}, "schedule"
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad schedule section: {exc}") from exc
-    value = raw.get("initial_q", 0.0)
-    if value == "optimistic":
-        return schedule, optimistic_initial_value(env_params)
-    try:  # isfinite takes no string and no integer too large for a float
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise ConfigError(f"bad schedule.initial_q: {value!r}")
-    return schedule, float(value)
+def _schedule_from_config(raw: Mapping, env_params: EnvParams) -> LearningSchedule:
+    """The LearningSchedule that the `schedule` section sets, where
+    ``initial_q`` may also be the string "optimistic": the horizon-limited
+    return bound of ``env_params``."""
+    if raw.get("initial_q") == "optimistic":
+        raw = {**raw, "initial_q": optimistic_initial_value(env_params)}
+    return dataclass_from_config(LearningSchedule, raw, "schedule")
+
+
+def _set_seed(doc: dict, seed: int) -> None:
+    """Give the run of the config document ``doc`` the seed ``seed``, in
+    both of the sections that hold one."""
+    doc.setdefault("env", {})["seed"] = seed
+    doc.setdefault("dqn", {})["seed"] = seed
 
 
 def parse_experiment_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be an object")
+    unknown = set(raw) - CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for section in ("env", "schedule", "dqn"):
         if not isinstance(raw.get(section, {}), dict):
             raise ConfigError(f"{section} must be an object, got {raw[section]!r}")
     resolved = copy.deepcopy(raw)
     if seed_override is not None:
-        resolved.setdefault("env", {})["seed"] = seed_override
-        resolved.setdefault("dqn", {})["seed"] = seed_override
+        _set_seed(resolved, seed_override)
     try:
         env_params, profile = env_params_from_config(resolved.get("env", {}))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad env section: {exc}") from exc
-    schedule, initial_q = _schedule_from_config(resolved.get("schedule", {}), env_params)
     try:
-        hp = dqn_mod.hyperparams_from_config(resolved.get("dqn", {}))
+        schedule = _schedule_from_config(resolved.get("schedule", {}), env_params)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad schedule section: {exc}") from exc
+    try:
+        hp = dataclass_from_config(dqn_mod.DqnHyperparams, resolved.get("dqn", {}), "dqn")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad dqn section: {exc}") from exc
     need = dqn_mod.dqn_memory_bytes(hp, env_params)
@@ -140,18 +142,22 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
             f"{dqn_mod.MAX_DQN_BYTES >> 30} GiB budget"
         )
     try:
-        objectives_from_config(resolved.get("objectives", []))
+        detect_conflicts(objectives_from_config(resolved.get("objectives", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad objectives section: {exc}") from exc
+    try:
+        output_dir = _cast(str, resolved.get("output_dir", "runs"), "output_dir")
+        run_id = _cast(str, resolved.get("run_id", "run"), "run_id")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return ExperimentConfig(
         raw=resolved,
         env_params=env_params,
         profile=profile,
         schedule=schedule,
-        initial_q=initial_q,
         dqn=hp,
-        output_dir=Path(resolved.get("output_dir", "runs")),
-        run_id=str(resolved.get("run_id", "run")),
+        output_dir=Path(output_dir),
+        run_id=run_id,
     )
 
 
@@ -259,9 +265,7 @@ def run_training(cfg: ExperimentConfig, agent: str, partial_obs: bool, run_dir: 
     env = WorkshopEnv(cfg.env_params, cfg.profile)
     metrics_path = run_dir / "metrics.csv"
     if agent == "tabular":
-        q, metrics = train_tabular(
-            env, cfg.schedule, cfg.env_params.gamma, partial_obs, initial_q=cfg.initial_q
-        )
+        q, metrics = train_tabular(env, cfg.schedule, partial_obs)
         _write_csv(
             metrics_path,
             TABULAR_METRICS_HEADER,
@@ -323,17 +327,17 @@ def _load_policy(artifact_file: Path, cfg: ExperimentConfig) -> np.ndarray:
     every state id."""
     with open(artifact_file, "rb") as fh:
         magic = fh.read(4)
-    if magic not in (b"QTB1", b"MLP1"):
+    if magic not in (QTABLE_MAGIC, dqn_mod.MLP_MAGIC):
         raise ConfigError(f"{artifact_file}: unrecognized artifact format")
     try:
-        if magic == b"QTB1":
+        if magic == QTABLE_MAGIC:
             q, _gamma = load_qtable(artifact_file)
         else:
             params = dqn_mod.load_params(artifact_file)
     except (ValueError, struct.error) as exc:  # truncated or corrupt payload
         raise ConfigError(str(exc)) from exc
     n_actions = WorkshopEnv.num_actions
-    if magic == b"QTB1":
+    if magic == QTABLE_MAGIC:
         n_states = num_states(cfg.env_params)
         if q.num_actions != n_actions or q.num_states != n_states:
             raise ConfigError(
@@ -424,8 +428,7 @@ def sweep_param(
     rows = []
     for i, value in enumerate(values):
         doc = copy.deepcopy(cfg.raw)
-        doc.setdefault("env", {})["seed"] = base_seed + i
-        doc.setdefault("dqn", {})["seed"] = base_seed + i
+        _set_seed(doc, base_seed + i)
         node, key = _resolve_key(doc, param)  # a swept seed key takes the swept value
         node[key] = int(value) if original_is_int and float(value).is_integer() else float(value)
         point = parse_experiment_config(doc)
@@ -435,7 +438,7 @@ def sweep_param(
             pi = greedy_policy(value_iteration(mdp, params.gamma, 1e-9))
         elif agent == "tabular":
             env = WorkshopEnv(params, profile)
-            q, _ = train_tabular(env, point.schedule, params.gamma, initial_q=point.initial_q)
+            q, _ = train_tabular(env, point.schedule)
             pi = greedy_policy(q)
         elif agent == "dqn":
             net, _ = dqn_mod.train_dqn(WorkshopEnv(params, profile), point.dqn)

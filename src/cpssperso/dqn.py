@@ -17,13 +17,13 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .rl_core import linear_decay
+from .rl_core import check_linear_decay, linear_decay
 from .workshop_env import (
     ACTIONS,
     EnvParams,
@@ -35,7 +35,6 @@ from .workshop_env import (
     PACES,
     WORKER_STATES,
     ScalarDraws,
-    dataclass_from_config,
     encode_state,
     num_states,
 )
@@ -397,75 +396,49 @@ def encode_features(state: WorkshopState, profile: WorkerProfile) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class EpsilonDecay:
+    """Exploration rate of a DQN run, the `dqn.epsilon` object of a config:
+    ``start`` moved linearly to ``end`` over the first ``decay_steps``
+    steps."""
+
+    start: float = 1.0
+    end: float = 0.05
+    decay_steps: int = 10_000
+
+    def __post_init__(self) -> None:
+        check_linear_decay(self.start, self.end, self.decay_steps)
+
+    def at(self, step: int) -> float:
+        return linear_decay(self.start, self.end, self.decay_steps, step)
+
+
+@dataclass(frozen=True)
 class DqnHyperparams:
+    """The `dqn` section of a config: each field is the key of the same
+    name, and ``epsilon`` is the nested object."""
+
     hidden: tuple[int, ...] = (32, 32)
-    learning_rate: float = 1e-3
-    batch_size: int = 32
+    lr: float = 1e-3
+    batch: int = 32
     buffer_capacity: int = 10_000
     target_sync: int = 250
     total_steps: int = 20_000
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_steps: int = 10_000
+    epsilon: EpsilonDecay = field(default_factory=EpsilonDecay)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.buffer_capacity < self.batch_size:
-            raise ValueError(
-                f"buffer capacity {self.buffer_capacity} < batch size {self.batch_size}"
-            )
+        if self.buffer_capacity < self.batch:
+            raise ValueError(f"buffer capacity {self.buffer_capacity} < batch {self.batch}")
         if self.target_sync < 1:
             raise ValueError(f"target_sync must be >= 1, got {self.target_sync}")
-        if self.batch_size < 1 or self.total_steps < 0:
-            raise ValueError("batch_size must be positive and total_steps non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-        for e in (self.epsilon_start, self.epsilon_end):
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"epsilon must be in [0,1], got {e}")
-        if self.epsilon_end > self.epsilon_start:
-            raise ValueError("epsilon_end must not exceed epsilon_start")
-        if self.epsilon_decay_steps < 0:
-            raise ValueError(f"epsilon decay_steps must be non-negative, got {self.epsilon_decay_steps}")
+        if self.batch < 1 or self.total_steps < 0:
+            raise ValueError("batch must be positive and total_steps non-negative")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden layer widths must be at least 1, got {list(self.hidden)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    def epsilon_at(self, step: int) -> float:
-        return linear_decay(self.epsilon_start, self.epsilon_end, self.epsilon_decay_steps, step)
-
-
-#: Key of the `dqn` config section -> DqnHyperparams field.  The `epsilon`
-#: object holds the epsilon_* fields under the keys of _EPSILON_KEYS.
-_DQN_KEYS = {
-    "hidden": "hidden",
-    "lr": "learning_rate",
-    "batch": "batch_size",
-    "buffer_capacity": "buffer_capacity",
-    "target_sync": "target_sync",
-    "total_steps": "total_steps",
-    "seed": "seed",
-    "epsilon": "epsilon",
-}
-_EPSILON_KEYS = {"start": "epsilon_start", "end": "epsilon_end", "decay_steps": "epsilon_decay_steps"}
-
-
-def _renamed(raw, keys: Mapping[str, str], where: str) -> dict:
-    if not isinstance(raw, Mapping):
-        raise ValueError(f"{where} must be an object, got {raw!r}")
-    unknown = set(raw) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    return {keys[key]: value for key, value in raw.items()}
-
-
-def hyperparams_from_config(raw: Mapping) -> DqnHyperparams:
-    """DqnHyperparams from the keys that the `dqn` section of a config sets;
-    every other field keeps its default, and unknown keys are rejected."""
-    fields = _renamed(raw, _DQN_KEYS, "dqn")
-    fields.update(_renamed(fields.pop("epsilon", {}), _EPSILON_KEYS, "dqn.epsilon"))
-    return dataclass_from_config(DqnHyperparams, fields, "dqn")
 
 
 @dataclass(frozen=True)
@@ -500,10 +473,11 @@ def train_dqn(
     explore_rng = ScalarDraws([hp.seed, 1])  # draws of default_rng([hp.seed, 1])
     replay_rng = np.random.default_rng([hp.seed, 3])
     gamma = env.params.gamma
-    if hp.batch_size <= buffer.capacity:  # else no update ever runs
-        ws = Workspace(sizes, hp.batch_size)
+    epsilon, batch, lr = hp.epsilon, hp.batch, hp.lr
+    if batch <= buffer.capacity:  # else no update ever runs
+        ws = Workspace(sizes, batch)
         # horizon truncation is not a terminal state: bootstrap normally
-        not_done = np.zeros(hp.batch_size, dtype=bool)
+        not_done = np.zeros(batch, dtype=bool)
     finite = np.empty(params.flat.shape, dtype=bool)
     # the acting state's id, feature row and layer rows
     act_id = np.empty(1, dtype=np.int64)
@@ -516,7 +490,7 @@ def train_dqn(
     ep_return = 0.0
     last_loss = 0.0
     for step in range(hp.total_steps):
-        eps = hp.epsilon_at(step)
+        eps = epsilon.at(step)
         if explore_rng.random() < eps:
             a = explore_rng.integers(env.num_actions)
         else:
@@ -528,15 +502,15 @@ def train_dqn(
         ep_return += reward
         s = s_next
 
-        if len(buffer) >= hp.batch_size:
-            ids, actions, rewards, next_ids = buffer.sample(hp.batch_size, replay_rng)
+        if len(buffer) >= batch:
+            ids, actions, rewards, next_ids = buffer.sample(batch, replay_rng)
             encode(np.concatenate((ids, next_ids)), ws.features)
             # overflow here is an abort path, not something to propagate
             with np.errstate(over="ignore", invalid="ignore"):
                 last_loss, grad = loss_and_grad(
                     params, target, ws.x, actions, rewards, ws.next_x, not_done, gamma, ws
                 )
-                sgd_step(params, grad, hp.learning_rate)
+                sgd_step(params, grad, lr)
             if not math.isfinite(last_loss) or not params.all_finite(finite):
                 raise DivergenceError(
                     f"non-finite parameters after update at step {step}"
@@ -588,8 +562,8 @@ def dqn_memory_bytes(hp: DqnHyperparams, env_params: EnvParams) -> int:
     sizes = (feature_size(len(env_params.contexts)), *hp.hidden, len(ACTIONS))
     rows = replay_rows(hp)
     total = 3 * 8 * _num_params(sizes) + 32 * rows
-    if hp.batch_size <= rows:
-        total += Workspace.nbytes(sizes, hp.batch_size)
+    if hp.batch <= rows:
+        total += Workspace.nbytes(sizes, hp.batch)
     return total + 8 * min(_READOUT_CHUNK, num_states(env_params)) * sum(sizes)
 
 
@@ -597,13 +571,14 @@ def dqn_memory_bytes(hp: DqnHyperparams, env_params: EnvParams) -> int:
 # Persistence (flat array with a shape header)
 # ---------------------------------------------------------------------------
 
-_MLP_MAGIC = b"MLP1"
+#: The first four bytes of a network parameter file.
+MLP_MAGIC = b"MLP1"
 
 
 def save_params(params: MlpParams, path: str | Path) -> None:
     sizes = params.layer_sizes
     with open(path, "wb") as fh:
-        fh.write(_MLP_MAGIC)
+        fh.write(MLP_MAGIC)
         fh.write(struct.pack("<q", len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}q", *sizes))
         fh.write(params.flat.astype("<f8").tobytes())
@@ -612,9 +587,9 @@ def save_params(params: MlpParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> MlpParams:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(_MLP_MAGIC)] != _MLP_MAGIC:
+    if blob[: len(MLP_MAGIC)] != MLP_MAGIC:
         raise ValueError(f"{path}: not a network parameter file")
-    off = len(_MLP_MAGIC)
+    off = len(MLP_MAGIC)
     (n_sizes,) = struct.unpack_from("<q", blob, off)
     off += 8
     sizes = struct.unpack_from(f"<{n_sizes}q", blob, off)

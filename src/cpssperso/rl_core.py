@@ -228,26 +228,39 @@ def greedy_policy(q: QTable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LearningSchedule:
-    """Q-learning schedule: constant learning rate, linear epsilon decay
-    over the first ``decay_steps`` episodes."""
+    """Q-learning schedule, the `schedule` section of a config: constant
+    learning rate, linear epsilon decay over the first ``decay_steps``
+    episodes, and the value ``initial_q`` that every Q-table entry starts
+    at (zeros by default; see optimistic_initial_value)."""
 
     learning_rate: float = 0.1
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     decay_steps: int = 4000
     episodes: int = 5000
+    initial_q: float = 0.0
 
     def __post_init__(self) -> None:
         _check_learning_rate(self.learning_rate)
-        for e in (self.epsilon_start, self.epsilon_end):
-            _check_epsilon(e)
-        if self.epsilon_end > self.epsilon_start:
-            raise ValueError("epsilon_end must not exceed epsilon_start")
-        if self.decay_steps < 0 or self.episodes < 0:
-            raise ValueError("decay_steps and episodes must be non-negative")
+        check_linear_decay(self.epsilon_start, self.epsilon_end, self.decay_steps)
+        if self.episodes < 0:
+            raise ValueError(f"episodes must be non-negative, got {self.episodes}")
+        if not math.isfinite(self.initial_q):
+            raise ValueError(f"initial_q must be finite, got {self.initial_q}")
 
     def epsilon_at(self, episode: int) -> float:
         return linear_decay(self.epsilon_start, self.epsilon_end, self.decay_steps, episode)
+
+
+def check_linear_decay(start: float, end: float, steps: int) -> None:
+    """The rule of both learners' epsilon decay: both rates in [0, 1], the
+    end no greater than the start, and a non-negative number of steps."""
+    for e in (start, end):
+        _check_epsilon(e)
+    if end > start:
+        raise ValueError(f"epsilon end {end} must not exceed its start {start}")
+    if steps < 0:
+        raise ValueError(f"epsilon decay steps must be non-negative, got {steps}")
 
 
 def linear_decay(start: float, end: float, steps: int, t: int) -> float:
@@ -288,18 +301,16 @@ def optimistic_initial_value(params: EnvParams) -> float:
 def train_tabular(
     env: WorkshopEnv,
     schedule: LearningSchedule,
-    gamma: float,
     partial_obs: bool = False,
-    initial_q: float = 0.0,
 ) -> tuple[QTable, list[EpisodeMetrics]]:
-    """Epsilon-greedy Q-learning against the environment.
+    """Epsilon-greedy Q-learning against the environment, discounted by
+    ``env.params.gamma``.
 
     Deterministic given the environment seed: exploration draws come from a
     dedicated stream derived from it, a ``ScalarDraws`` with the values of
     ``np.random.default_rng([seed, 1])``.  With ``partial_obs`` the learner
     sees the noisy inference channel instead of the true worker state.  The
-    table starts at ``initial_q`` (zeros by default; see
-    optimistic_initial_value for the optimistic option).  The loop runs on
+    table starts at ``schedule.initial_q``.  The loop runs on
     state ids with ``epsilon_greedy`` and ``q_update`` inlined, draw for
     draw and float operation for float operation; the schedule has
     validated their arguments once, and the env only yields ids in range.
@@ -309,8 +320,9 @@ def train_tabular(
     """
     rng = ScalarDraws([env.params.seed, 1])
     n_a = env.num_actions
-    values = array("d", [float(initial_q)]) * (env.num_states * n_a)
+    values = array("d", [schedule.initial_q]) * (env.num_states * n_a)
     eta = schedule.learning_rate
+    gamma = env.params.gamma
     step = env.step_id
     metrics: list[EpisodeMetrics] = []
     for episode in range(schedule.episodes):
@@ -418,13 +430,14 @@ def exact_match_rate(
 # Persistence (flat binary array with a small header)
 # ---------------------------------------------------------------------------
 
-_QTABLE_MAGIC = b"QTB1"
+#: The first four bytes of a q-table file.
+QTABLE_MAGIC = b"QTB1"
 
 
 def save_qtable(q: QTable, gamma: float, path: str | Path) -> None:
     if not np.all(np.isfinite(q.values)):
         raise ValueError("refusing to persist a q-table with non-finite entries")
-    header = _QTABLE_MAGIC + struct.pack("<qqd", q.num_states, q.num_actions, gamma)
+    header = QTABLE_MAGIC + struct.pack("<qqd", q.num_states, q.num_actions, gamma)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(q.values.astype("<f8").tobytes())
@@ -433,10 +446,10 @@ def save_qtable(q: QTable, gamma: float, path: str | Path) -> None:
 def load_qtable(path: str | Path) -> tuple[QTable, float]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    head = len(_QTABLE_MAGIC) + struct.calcsize("<qqd")
-    if len(blob) < head or blob[: len(_QTABLE_MAGIC)] != _QTABLE_MAGIC:
+    head = len(QTABLE_MAGIC) + struct.calcsize("<qqd")
+    if len(blob) < head or blob[: len(QTABLE_MAGIC)] != QTABLE_MAGIC:
         raise ValueError(f"{path}: not a q-table file")
-    n, a, gamma = struct.unpack("<qqd", blob[len(_QTABLE_MAGIC) : head])
+    n, a, gamma = struct.unpack("<qqd", blob[len(QTABLE_MAGIC) : head])
     values = np.frombuffer(blob[head:], dtype="<f8")
     if values.size != n * a:
         raise ValueError(f"{path}: truncated q-table payload")

@@ -1075,6 +1075,8 @@ def _cast(tp, value, where: str):
         return tuple(_cast(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is bool and not isinstance(value, bool):
         raise InvalidParamsError(f"{where} must be true or false, got {value!r}")
+    if tp is str and not isinstance(value, str):  # str() would read 5 as "5"
+        raise InvalidParamsError(f"{where} must be a string, got {value!r}")
     if tp is int or tp is float:
         # the casts would read true as 1 and "7" as 7, and int() would
         # truncate 2.5 to 2; JSON's NaN and Infinity are not values either

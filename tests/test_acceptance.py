@@ -109,12 +109,7 @@ def test_03_tabular_matches_oracle_policy():
     for seed in range(5):
         params = EnvParams(seed=seed)
         env = WorkshopEnv(params, PROFILE)
-        q, _ = train_tabular(
-            env,
-            LearningSchedule(),
-            params.gamma,
-            initial_q=optimistic_initial_value(params),
-        )
+        q, _ = train_tabular(env, LearningSchedule(initial_q=optimistic_initial_value(params)))
         agreement = float(np.mean(greedy_policy(q) == oracle))
         ok = ok and agreement >= 0.95
     report(3, "tabular argmax agreement with oracle (5 seeds)", ok, t0, budget=60.0)

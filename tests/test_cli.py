@@ -9,7 +9,14 @@ import pytest
 
 from cpssperso import cli
 from cpssperso.cli import main, moving_average
-from cpssperso.rl_core import QTable, evaluate_policy, greedy_policy, load_qtable, save_qtable
+from cpssperso.rl_core import (
+    QTable,
+    evaluate_policy,
+    greedy_policy,
+    load_qtable,
+    optimistic_initial_value,
+    save_qtable,
+)
 
 pytestmark = pytest.mark.usefixtures("chdir_tmp")
 
@@ -252,6 +259,13 @@ class TestTrain:
             ("dqn", {"hidden": [10**12]}),
             ("dqn", {"hidden": [10**6, 10**6]}),
             ("dqn", {"buffer_capacity": 10**12, "total_steps": 10**12}),
+            # the top level takes only its own keys, and strings where a string goes
+            ("schedul", {"episodes": 3}),
+            ("output_dir", 3),
+            ("output_dir", ["x"]),
+            ("run_id", [1]),
+            ("env", {"contexts": [{"id": 5, "influences_worker": True}]}),
+            ("objectives", [{"id": "perso", "owner": "cobot1", "metric": "m", "direction": "maximize"}] * 2),
         ],
         ids=[
             "dqn-epsilon-number", "dqn-list", "schedule-list", "env-list",
@@ -260,15 +274,53 @@ class TestTrain:
             "env-float-bool", "env-int-string", "schedule-float-string",
             "dqn-hidden-string", "initial-q-string", "initial-q-infinite", "initial-q-huge",
             "dqn-hidden-huge", "dqn-hidden-wide", "dqn-replay-huge",
+            "top-level-typo", "output-dir-number", "output-dir-list", "run-id-list",
+            "context-id-number", "objective-id-duplicate",
         ],
     )
     @pytest.mark.parametrize("seed_override", [False, True], ids=["config-seed", "seed-override"])
-    def test_bad_section_exits_2(self, quick_config, write_config, monkeypatch, section, value, seed_override):
+    def test_bad_section_exits_2(self, quick_config, write_config, monkeypatch, capsys, section, value, seed_override):
         if seed_override:
             monkeypatch.setenv("CPSSPERSO_SEED", "3")
         quick_config[section] = value
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "tabular"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_every_key_reads_back_from_its_field(self, workshop_config):
+        """Each key of `schedule`, `dqn` and `dqn.epsilon` is the name of the
+        field that holds its value."""
+        cfg = cli.parse_experiment_config(workshop_config)
+        sections = [
+            (workshop_config["schedule"], cfg.schedule),
+            (workshop_config["dqn"], cfg.dqn),
+            (workshop_config["dqn"]["epsilon"], cfg.dqn.epsilon),
+        ]
+        for raw, parsed in sections:
+            for key, value in raw.items():
+                if key == "epsilon":
+                    continue  # the nested object, read as the third section
+                if value == "optimistic":
+                    value = optimistic_initial_value(cfg.env_params)
+                expected = tuple(value) if isinstance(value, list) else value
+                assert getattr(parsed, key) == expected, key
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda dqn: dqn.update(batch=2.5), "dqn.batch"),
+            (lambda dqn: dqn.update(lr=True), "dqn.lr"),
+            (lambda dqn: dqn["epsilon"].update(start="x"), "dqn.epsilon.start"),
+        ],
+        ids=["batch-fraction", "lr-bool", "epsilon-start-string"],
+    )
+    def test_error_names_the_config_key(self, quick_config, write_config, capsys, edit, key):
+        edit(quick_config["dqn"])
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "dqn"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad dqn section: {key} must be")
 
     @pytest.mark.parametrize(
         "edit",
@@ -431,7 +483,7 @@ class TestEvaluate:
         cfg = write_config(quick_config)
         assert main(["evaluate", str(tmp_path / "none.bin"), str(cfg)]) == 3
 
-    @pytest.mark.parametrize("magic", [b"QTB1", b"MLP1"])
+    @pytest.mark.parametrize("magic", [b"QTB1", b"MLP1", b"QTB2"])
     def test_truncated_artifact_exits_2(self, quick_config, write_config, tmp_path, magic):
         cfg = write_config(quick_config)
         truncated = tmp_path / "truncated.bin"

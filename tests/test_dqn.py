@@ -8,6 +8,7 @@ from cpssperso.dqn import (
     DivergenceError,
     DqnHyperparams,
     EmptyBatchError,
+    EpsilonDecay,
     FeatureEncoder,
     MlpParams,
     ReplayBuffer,
@@ -376,12 +377,14 @@ class TestFeatures:
 class TestTraining:
     def test_hyperparams_validation(self):
         with pytest.raises(ValueError):
-            DqnHyperparams(buffer_capacity=8, batch_size=32)
+            DqnHyperparams(buffer_capacity=8, batch=32)
         with pytest.raises(ValueError):
             DqnHyperparams(target_sync=0)
-        for bad in ({"hidden": (0,)}, {"hidden": (32, -1)}, {"epsilon_decay_steps": -1}, {"seed": -1}):
+        for bad in ({"hidden": (0,)}, {"hidden": (32, -1)}, {"seed": -1}):
             with pytest.raises(ValueError):
                 DqnHyperparams(**bad)
+        with pytest.raises(ValueError):
+            EpsilonDecay(decay_steps=-1)
 
     def test_zero_steps_returns_initial_parameters(self):
         env = WorkshopEnv(EnvParams(seed=0))
@@ -396,7 +399,7 @@ class TestTraining:
     def test_batch_above_the_steps_allocates_no_batch(self):
         # no update can run, so nothing of the batch's size is allocated
         env = WorkshopEnv(EnvParams(seed=0))
-        hp = DqnHyperparams(batch_size=10**6, buffer_capacity=10**6, total_steps=100, seed=4)
+        hp = DqnHyperparams(batch=10**6, buffer_capacity=10**6, total_steps=100, seed=4)
         tracemalloc.start()
         try:
             params, _ = train_dqn(env, hp)
@@ -405,7 +408,7 @@ class TestTraining:
             tracemalloc.stop()
         fresh = init_mlp((feature_size(1), 32, 32, env.num_actions), np.random.default_rng([4, 2]))
         assert np.array_equal(params.flat, fresh.flat)
-        assert peak < hp.batch_size * feature_size(1) * 8 / 100
+        assert peak < hp.batch * feature_size(1) * 8 / 100
 
     def test_identical_seeds_give_identical_loss_curves(self):
         runs = []
@@ -417,7 +420,7 @@ class TestTraining:
 
     def test_divergence_raises_rather_than_propagating(self):
         env = WorkshopEnv(EnvParams(seed=0))
-        hp = DqnHyperparams(total_steps=2000, learning_rate=1e3, seed=0)
+        hp = DqnHyperparams(total_steps=2000, lr=1e3, seed=0)
         with pytest.raises(DivergenceError):
             train_dqn(env, hp)
 

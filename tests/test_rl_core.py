@@ -230,14 +230,14 @@ class TestSchedule:
 class TestTrainTabular:
     def test_zero_episodes_is_noop(self):
         env = WorkshopEnv(EnvParams(seed=0))
-        q, metrics = train_tabular(env, LearningSchedule(episodes=0), 0.95)
+        q, metrics = train_tabular(env, LearningSchedule(episodes=0))
         assert metrics == [] and not q.values.any()
 
     def test_identical_seeds_give_identical_metrics(self):
         runs = []
         for _ in range(2):
             env = WorkshopEnv(EnvParams(seed=11))
-            runs.append(train_tabular(env, LearningSchedule(episodes=40), 0.95)[1])
+            runs.append(train_tabular(env, LearningSchedule(episodes=40))[1])
         assert runs[0] == runs[1]
 
     def test_learning_approaches_oracle_values(self):
@@ -246,18 +246,13 @@ class TestTrainTabular:
         mdp = FiniteMdp.from_env(params, PROFILE)
         q_star = value_iteration(mdp, params.gamma, 1e-9)
         env = WorkshopEnv(params, PROFILE)
-        q, _ = train_tabular(
-            env,
-            LearningSchedule(),
-            params.gamma,
-            initial_q=optimistic_initial_value(params),
-        )
+        q, _ = train_tabular(env, LearningSchedule(initial_q=optimistic_initial_value(params)))
         bound = 0.05 * mdp.rmax / (1 - params.gamma)
         assert np.max(np.abs(q.values - q_star.values)) <= bound
 
     def test_partial_observation_mode_runs(self):
         env = WorkshopEnv(EnvParams(seed=1, alpha=0.8))
-        q, metrics = train_tabular(env, LearningSchedule(episodes=30), 0.95, partial_obs=True)
+        q, metrics = train_tabular(env, LearningSchedule(episodes=30), partial_obs=True)
         assert len(metrics) == 30
 
     @pytest.mark.parametrize("greedy", [False, True], ids=["decaying", "epsilon-zero"])
@@ -275,8 +270,10 @@ class TestTrainTabular:
             contexts=tuple(ContextConfig(f"m{i}", i != 1) for i in range(k)),
         )
         start = 0.0 if greedy else 1.0
-        schedule = LearningSchedule(epsilon_start=start, epsilon_end=0.0, decay_steps=40, episodes=60)
         initial_q = optimistic_initial_value(params) if optimistic else 0.0
+        schedule = LearningSchedule(
+            epsilon_start=start, epsilon_end=0.0, decay_steps=40, episodes=60, initial_q=initial_q
+        )
         gamma = params.gamma
 
         env = WorkshopEnv(params, PROFILE)
@@ -300,7 +297,7 @@ class TestTrainTabular:
                     break
             metrics_ref.append(EpisodeMetrics(episode, ep_return, eps, max_td))
 
-        q, metrics = train_tabular(WorkshopEnv(params, PROFILE), schedule, gamma, partial_obs, initial_q)
+        q, metrics = train_tabular(WorkshopEnv(params, PROFILE), schedule, partial_obs)
         assert q.values.shape == q_ref.values.shape
         assert q.values.tobytes() == q_ref.values.tobytes()
         assert metrics == metrics_ref
