@@ -150,6 +150,10 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
         run_id = _cast(str, resolved.get("run_id", "run"), "run_id")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the run directory is output_dir / run_id: anything but one path
+    # component would write outside it, or into output_dir itself
+    if run_id in ("", ".", "..") or any(c in run_id for c in "/\\\0"):
+        raise ConfigError(f"run_id must be one non-empty path component, got {run_id!r}")
     return ExperimentConfig(
         raw=resolved,
         env_params=env_params,

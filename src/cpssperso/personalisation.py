@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .meta_model import SosGraph, SystemKind, classify_system
-from .workshop_env import ACTIONS, Action, EnvParams, dataclass_from_config
+from .workshop_env import ACTIONS, Action, EnvParams, _cast, dataclass_from_config
 
 
 class UnknownSystemError(ValueError):
@@ -64,11 +64,12 @@ def scenario_from_dict(raw: Mapping) -> PersoScenario:
     unknown = set(raw) - _ROLE_KEYS
     if unknown:
         raise ValueError(f"unknown roles keys: {sorted(unknown)}")
+    cpss = raw.get("cpss")
     return PersoScenario(
-        user=str(raw["user"]),
-        device=str(raw["device"]),
-        crowd=tuple(str(c) for c in raw.get("crowd", [])),
-        cpss=str(raw["cpss"]) if raw.get("cpss") is not None else None,
+        user=_cast(str, raw["user"], "roles.user"),
+        device=_cast(str, raw["device"], "roles.device"),
+        crowd=_cast(tuple[str, ...], raw.get("crowd", []), "roles.crowd"),
+        cpss=None if cpss is None else _cast(str, cpss, "roles.cpss"),
     )
 
 

@@ -623,6 +623,9 @@ class FactoredModel:
         #: (action, number of two-outcome machines) -> the row's machine
         #: probabilities, the first machine's outcome outermost
         self._folds: dict[tuple[int, int], np.ndarray] = {}
+        #: (flag, action, worker * 2 + pressure, fold length) -> what the rows
+        #: of that key share: see ``row``
+        self._parts: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray | None, array]] = {}
         pressure = np.zeros((2, 2))
         for i, level in enumerate((Pressure.LOW, Pressure.HIGH)):
             state = WorkshopState(WORKER_STATES[0], TeamState(level), ())
@@ -632,11 +635,6 @@ class FactoredModel:
         self.worker_team = (worker[..., :, None, :, None] * pressure[:, None, :]).reshape(
             2, n_a, 2 * n_w, 2 * n_w
         )
-
-    def _worker_team(self, a: int, bits: int) -> np.ndarray:
-        """The (36, 36) worker x pressure kernel of action ``a`` next to the
-        machine bits ``bits``."""
-        return self.worker_team[int((bits & self.influence_mask) != 0), a]
 
     def _machines(self, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
         """Reachable next machine bits, ascending, and their probabilities.
@@ -665,17 +663,40 @@ class FactoredModel:
         """Every machine-bit pattern, ``arange(2^k)``."""
         return np.arange(1 << self.num_machines, dtype=np.int64)
 
-    def row(self, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next-state ids of (s, a), ascending, and their probabilities."""
+    def row(self, s: int, a: int) -> tuple[np.ndarray, array]:
+        """Next-state ids of (s, a), ascending, and their cumulative
+        probabilities.  The probabilities are fixed by four facts: the flag,
+        the action, the worker x pressure index ``s >> k`` and the number of
+        two-outcome machines.  Every row with the same four holds the same
+        cumulative ``array('d')``, built on the first of them: do not write
+        to it.  The ids are that key's nonzero worker x pressure ids, shifted
+        above the machine bits, joined with the machine ids."""
         k = self.num_machines
         bits = s & ((1 << k) - 1)
-        wt = self._worker_team(a, bits)[s >> k]
-        wt_ids = np.flatnonzero(wt)
+        flag = int((bits & self.influence_mask) != 0)
         m_ids, m_probs = self._machines(a, bits)
-        ids = ((wt_ids[:, None] << k) | m_ids).ravel()
+        key = (flag, a, s >> k, len(m_probs))
+        part = self._parts.get(key)
+        if part is None:
+            part = self._parts[key] = self._part(self.worker_team[flag, a, s >> k], m_probs)
+        high, keep, cum = part
+        ids = (high[:, None] | m_ids).ravel()
+        return (ids if keep is None else ids[keep]), cum
+
+    def _part(self, wt: np.ndarray, m_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, array]:
+        """The parts of the rows whose worker x pressure probabilities are
+        ``wt`` and whose machine probabilities are ``m_probs``: the nonzero
+        worker x pressure ids shifted above the machine bits, the entries
+        whose product is nonzero (``None`` when all are: a fold can
+        underflow to 0.0), and the cumulative probabilities of those."""
+        wt_ids = np.flatnonzero(wt)
         probs = np.multiply.outer(wt[wt_ids], m_probs).ravel()
         keep = probs > 0.0
-        return ids[keep], probs[keep]
+        probs = probs[keep]
+        # written in place through a numpy view: no temporary copy
+        cum = array("d", [0.0]) * len(probs)
+        np.cumsum(probs, out=np.frombuffer(cum))
+        return wt_ids << self.num_machines, (None if keep.all() else keep), cum
 
     def dense(self) -> np.ndarray:
         """The (S, A, S) transition matrix, written one (action, machine bits)
@@ -691,7 +712,8 @@ class FactoredModel:
                 m_ids, m_probs = self._machines(a, bits)
                 m_row.fill(0.0)
                 m_row[m_ids] = m_probs
-                np.multiply(self._worker_team(a, bits)[:, :, None], m_row, out=blocks[:, bits, a])
+                flag = int((bits & self.influence_mask) != 0)
+                np.multiply(self.worker_team[flag, a][:, :, None], m_row, out=blocks[:, bits, a])
         return p
 
     def expect(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -797,25 +819,46 @@ def safety_violation_ids(params: EnvParams) -> np.ndarray:
     return degraded[:, None] & _UNSAFE_INDEX & (params.rewards.context_unsafe != 0.0)
 
 
-def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
-    """``reward_fn(...).total`` for every (state id, action index), as an
-    (S, A) array.  Each term is built from its factors and they are summed
-    with the float operations of ``composite_total``, in its order, so the
-    table is bit-equal to ``reward_fn``."""
+#: The number of set bits of each byte: two lookups count the machine bits
+#: of an id, of which there are at most ``MAX_MACHINES`` = 16.
+_BYTE_BITS = np.array([i.bit_count() for i in range(256)], dtype=np.intp)
+
+
+def reward_cells(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
+    """``reward_fn(...).total`` as a (36, m + 1, A) table over worker x
+    pressure, the number of degraded influencing machines (of ``m``) and
+    the action.  Each cell is computed on one representative, whose first
+    ``c`` influencing machines are degraded, from the terms' factors (the
+    worker-need rule per worker and flag, the pressure bit, one influencing
+    machine at a time) summed with the float operations of
+    ``composite_total``, in its order.  The total depends on the count alone,
+    bit for bit: an ok machine adds +0.0, which leaves a nonzero sum as it
+    is, and the sign of a zero sum depends only on how many of its terms are
+    +0.0."""
     mags, weights = params.rewards, params.weights
-    k = len(params.contexts)
-    ids = np.arange(num_states(params))[:, None]
+    m = sum(c.influences_worker for c in params.contexts)
+    wp = np.arange(2 * len(WORKER_STATES))[:, None, None]
+    count = np.arange(m + 1)[:, None]
     actions = np.arange(len(ACTIONS))
-    matched = worker_need_ids(params, profile)[:, None] == actions
-    r_worker = np.where(matched, float(mags.worker_match), float(mags.worker_mismatch))
-    held_under_pressure = ((ids >> k) & 1 == 1) & (actions == ACTION_INDEX[Action.HOLD])
+    need = _worker_need_table(profile)[wp >> 1, (count > 0).astype(np.intp)]
+    r_worker = np.where(need == actions, float(mags.worker_match), float(mags.worker_mismatch))
+    held_under_pressure = (wp & 1 == 1) & (actions == ACTION_INDEX[Action.HOLD])
     r_team = np.where(held_under_pressure, float(mags.team_bad), float(mags.team_ok))
     total = weights.w_worker * r_worker + weights.w_team * r_team
-    for i, c in enumerate(params.contexts):
-        if c.influences_worker:
-            degraded = (ids >> (k - 1 - i)) & 1 == 1
-            total += weights.w_context * np.where(degraded & _UNSAFE_INDEX, float(mags.context_unsafe), 0.0)
+    for i in range(m):
+        total += weights.w_context * np.where((count > i) & _UNSAFE_INDEX, float(mags.context_unsafe), 0.0)
     return total
+
+
+def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
+    """``reward_fn(...).total`` for every (state id, action index), as an
+    (S, A) array: ``reward_cells`` gathered at each id's worker x pressure
+    and number of degraded influencing machines, so it is bit-equal to
+    ``reward_fn``."""
+    k = len(params.contexts)
+    influencing = np.arange(1 << k) & _influence_mask(params)
+    counts = _BYTE_BITS[influencing & 0xFF] + _BYTE_BITS[influencing >> 8]
+    return reward_cells(params, profile)[:, counts].reshape(-1, len(ACTIONS))
 
 
 # ---------------------------------------------------------------------------
@@ -929,8 +972,10 @@ class WorkshopEnv:
         self._t = 0
         # the machine bits and the pressure bit sit below the worker index
         self._worker_shift = len(params.contexts) + 1
+        self._horizon = params.horizon
         self._model = FactoredModel(params, self.profile)
-        self._rows: dict[tuple[int, int], tuple[array, array, float]] = {}
+        #: s * num_actions + a -> the row of (s, a), see ``_row``
+        self._rows: dict[int, tuple[array, array, float]] = {}
         self._decoded: dict[int, WorkshopState] = {}
 
     @property
@@ -953,15 +998,21 @@ class WorkshopEnv:
         draw (``bisect_right``), the last one should rounding leave the
         sum below it.  An action outside ``[0, num_actions)`` raises
         ``IndexError``."""
-        if self._s is None:
+        s, t = self._s, self._t
+        if s is None:
             raise EpisodeOverError("call reset() or reset_id() before stepping")
-        if self._t >= self.params.horizon:
-            raise EpisodeOverError(f"episode is over (horizon {self.params.horizon})")
-        next_ids, cum, reward = self._row(self._s, a)
+        if t >= self._horizon:
+            raise EpisodeOverError(f"episode is over (horizon {self._horizon})")
+        if not 0 <= a < self.num_actions:  # else the key would name another row
+            raise IndexError(f"action index {a} out of range [0, {self.num_actions})")
+        row = self._rows.get(s * self.num_actions + a)
+        if row is None:
+            row = self._row(s, a)
+        next_ids, cum, reward = row
         u = self._rng.random()
         s = self._s = next_ids[min(bisect_right(cum, u), len(next_ids) - 1)]
-        self._t += 1
-        return s, self._observe_id(s), reward, self._t >= self.params.horizon
+        self._t = t = t + 1
+        return s, self._observe_id(s), reward, t >= self._horizon
 
     def _observe_id(self, s: int) -> int:
         """The inference channel on state ids (consumes the stream): ``s``
@@ -1004,50 +1055,23 @@ class WorkshopEnv:
             self._decoded[index] = st
         return st
 
-    def _row(self, s_idx: int, a_idx: int) -> tuple[array, array, float]:
-        """Next-state ids, their cumulative probabilities and the reward
-        total of (s, a), built once per pair.  The ids and probabilities are
-        ``array``s, 8 bytes an entry as in numpy, that ``step_id`` reads as
-        Python scalars."""
-        key = (s_idx, a_idx)
-        row = self._rows.get(key)
-        if row is None:
-            if not 0 <= a_idx < self.num_actions:
-                raise IndexError(f"action index {a_idx} out of range [0, {self.num_actions})")
-            ids, probs = self._model.row(s_idx, a_idx)
-            reward = self._reward(s_idx, a_idx)
-            # written in place through numpy views: no temporary copies
-            next_ids, cum = array("q", [0]) * len(ids), array("d", [0.0]) * len(ids)
-            np.frombuffer(next_ids, dtype=np.int64)[:] = ids
-            np.cumsum(probs, out=np.frombuffer(cum))
-            row = (next_ids, cum, reward)
-            self._rows[key] = row
+    def _row(self, s: int, a: int) -> tuple[array, array, float]:
+        """Build, cache and return the row of (s, a), for an action index in
+        range: its next-state ids as an ``array('q')``, the cumulative
+        probabilities that ``FactoredModel.row`` shares between rows, and
+        the reward total from ``reward_cells``.  Both ``array``s hold 8
+        bytes an entry, as in numpy, and ``step_id`` reads them as Python
+        scalars."""
+        ids, cum = self._model.row(s, a)
+        count = (s & self._model.influence_mask).bit_count()
+        reward = self._reward_cells[s >> (self._worker_shift - 1)][count][a]
+        row = self._rows[s * self.num_actions + a] = (array("q", ids.tobytes()), cum, reward)
         return row
 
-    def _reward(self, s: int, a: int) -> float:
-        """``reward_fn(...).total`` of (s, a) from the id, with no decoded
-        state: the terms of ``reward_table`` (the worker-need table, the
-        pressure bit, the influencing machine bits) as ``reward_fn`` picks
-        them, summed by ``composite_total``."""
-        mags = self.params.rewards
-        k = self._worker_shift - 1
-        flag = int((s & self._model.influence_mask) != 0)
-        need = self._worker_need[s >> self._worker_shift][flag]
-        r_worker = mags.worker_match if a == need else mags.worker_mismatch
-        held_under_pressure = (s >> k) & 1 and ACTIONS[a] is Action.HOLD
-        r_team = mags.team_bad if held_under_pressure else mags.team_ok
-        unsafe = ACTIONS[a] in _UNSAFE_ACTIONS
-        r_context = tuple(
-            mags.context_unsafe if unsafe and (s >> (k - 1 - i)) & 1 else 0.0
-            for i, c in enumerate(self.params.contexts)
-            if c.influences_worker
-        )
-        return composite_total(r_worker, r_team, r_context, self.params.weights)
-
     @functools.cached_property
-    def _worker_need(self) -> list[list[int]]:
-        """``_worker_need_table`` as lists, read as ``[worker][flag]``."""
-        return _worker_need_table(self.profile).tolist()
+    def _reward_cells(self) -> list[list[list[float]]]:
+        """``reward_cells`` as lists, read as ``[worker * 2 + pressure][count][action]``."""
+        return reward_cells(self.params, self.profile).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1072,6 +1096,8 @@ def _cast(tp, value, where: str):
     if is_dataclass(tp):
         return dataclass_from_config(tp, value, where)
     if get_origin(tp) is tuple:  # tuple[ContextConfig, ...] or tuple[int, ...]
+        if not isinstance(value, (list, tuple)):  # a string would read as its characters
+            raise InvalidParamsError(f"{where} must be a list, got {value!r}")
         return tuple(_cast(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is bool and not isinstance(value, bool):
         raise InvalidParamsError(f"{where} must be true or false, got {value!r}")

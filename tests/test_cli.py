@@ -452,6 +452,34 @@ class TestTrain:
         assert replayed == original
 
 
+class TestRunId:
+    """``run_id`` names one directory under ``output_dir``: any value that is
+    not one path component exits 2 before anything is written."""
+
+    BAD = ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"]
+
+    @pytest.mark.parametrize("run_id", BAD)
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--agent", "tabular"], ["sweep", "--param", "env.noise_p", "--values", "0.1,0.2"]],
+        ids=["train", "sweep"],
+    )
+    def test_bad_run_id_exits_2_and_writes_nothing(self, quick_config, write_config, tmp_path, capsys, run_id, argv):
+        quick_config["run_id"] = run_id
+        path = write_config(quick_config)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "run_id" in err[0]
+        assert [p.name for p in tmp_path.rglob("*")] == [path.name]
+
+    def test_one_component_runs(self, quick_config, write_config, tmp_path):
+        quick_config["run_id"] = "run..1 x"
+        quick_config["schedule"]["episodes"] = 2
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 0
+        assert (tmp_path / "runs" / "run..1 x" / "run.json").is_file()
+
+
 class TestEvaluate:
     def _trained_run(self, quick_config, write_config):
         path = write_config(quick_config)

@@ -195,8 +195,9 @@ def test_ten_machines_solve_without_the_dense_matrix(monkeypatch):
 @pytest.mark.parametrize("k", [7, 11], ids=["two-chunks", "three-chunks"])
 def test_expect_matches_rows_beyond_one_kronecker_chunk(k):
     """Above 5 machines ``expect`` applies the machine kernel in chunks of
-    bits; check it against the sparse rows (bit-equal to the reference) on
-    sampled states, where the dense matrix would be too large to build."""
+    bits; check it against rows built by ``row_by_list_product`` on sampled
+    states, where the dense matrix would be too large to build, and check
+    that ``FactoredModel.row`` gives those rows bit for bit."""
     params = EnvParams(
         contexts=tuple(ContextConfig(f"m{i}", i % 3 != 1) for i in range(k)), machine_degrade_p=0.3
     )
@@ -206,8 +207,11 @@ def test_expect_matches_rows_beyond_one_kronecker_chunk(k):
     ev = model.expect(v, np.empty((len(ACTIONS), num_states(params))))
     for s in rng.choice(num_states(params), size=40, replace=False):
         for a in range(len(ACTIONS)):
-            ids, probs = model.row(int(s), a)
+            ids, probs = row_by_list_product(model, int(s), a)
             assert abs(ev[s, a] - probs @ v[ids]) <= 1e-12 * np.max(np.abs(v)), (s, a)
+            got_ids, cum = model.row(int(s), a)
+            assert got_ids.tobytes() == ids.tobytes(), (s, a)
+            assert bytes(cum) == np.cumsum(probs).tobytes(), (s, a)
 
 
 def machines_by_list_product(model: FactoredModel, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +226,23 @@ def machines_by_list_product(model: FactoredModel, a: int, bits: int) -> tuple[n
         np.array([i for i, _ in combos], dtype=np.int64),
         np.array([p for _, p in combos], dtype=np.float64),
     )
+
+
+def row_by_list_product(model: FactoredModel, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Next-state ids and probabilities of (s, a) as lists: each nonzero
+    worker x pressure outcome times each entry of ``machines_by_list_product``,
+    in ``transition_model``'s product order, zero products dropped."""
+    k = model.num_machines
+    bits = s & ((1 << k) - 1)
+    wt = model.worker_team[int((bits & model.influence_mask) != 0), a, s >> k]
+    m_ids, m_probs = machines_by_list_product(model, a, bits)
+    row = [
+        ((int(w) << k) | int(m), float(wt[w]) * float(p))
+        for w in np.flatnonzero(wt)
+        for m, p in zip(m_ids, m_probs)
+    ]
+    row = [(i, p) for i, p in row if p > 0.0]
+    return np.array([i for i, _ in row], dtype=np.int64), np.array([p for _, p in row])
 
 
 @pytest.mark.parametrize("k", [8, 12])
@@ -242,3 +263,60 @@ def test_machines_match_the_list_product_at_scale(k):
                 assert ids.dtype == ids_ref.dtype and probs.dtype == probs_ref.dtype
                 assert ids.tobytes() == ids_ref.tobytes(), (degrade_p, a, bits)
                 assert probs.tobytes() == probs_ref.tobytes(), (degrade_p, a, bits)
+
+
+#: Six machines, one of them not influencing the worker, that degrade
+#: often enough for rows of every size to occur.
+K6 = EnvParams(contexts=tuple(ContextConfig(f"m{i}", i != 2) for i in range(6)), machine_degrade_p=0.3)
+
+
+def test_rows_of_one_key_share_their_cumulative_probabilities():
+    """Two states with the same worker x pressure, flag and number of ok
+    machines: every action's rows hold one cumulative array; the rows of
+    an action that keeps the degraded machines degraded differ in their ids."""
+    env = WorkshopEnv(K6)
+    s1, s2 = (7 << 6) | 0b100000, (7 << 6) | 0b000001  # m0 or m5 degraded
+    for a in range(len(ACTIONS)):
+        ids1, cum1, _ = env._row(s1, a)
+        ids2, cum2, _ = env._row(s2, a)
+        assert cum1 is cum2, a
+    assert ids1 != ids2  # handover keeps m0 / m5 degraded
+
+
+def test_distinct_cumulative_arrays_are_fewer_than_rows():
+    env = WorkshopEnv(K6)
+    for s in range(num_states(K6)):
+        for a in range(len(ACTIONS)):
+            env._row(s, a)
+    distinct = {id(cum) for _, cum, _ in env._rows.values()}
+    assert len(env._rows) == num_states(K6) * len(ACTIONS)
+    assert len(distinct) == len(env._model._parts) < len(env._rows) // 4
+
+
+def test_rows_drop_machine_products_that_underflow():
+    """With ``machine_degrade_p`` 1e-200, two degradations have probability
+    1e-400, which is 0.0: the fold of three two-outcome machines holds
+    exact zeros, and rows drop them as ``transition_model`` does."""
+    contexts = (ContextConfig("m0"), ContextConfig("m1", False), ContextConfig("m2"))
+    params = EnvParams(contexts=contexts, machine_degrade_p=1e-200)
+    _, fold = FactoredModel(params, WorkerProfile())._machines(0, 0)
+    assert len(fold) == 8 and np.count_nonzero(fold == 0.0) == 4
+    check_against_reference(params, WorkerProfile())
+
+
+@pytest.mark.parametrize("params", [K6, replace(K6, machine_degrade_p=1e-200)], ids=["k6", "underflow"])
+def test_rows_do_not_depend_on_build_order(params):
+    """The parts a row shares are built by the first row that needs them:
+    rows built in shuffled (s, a) order equal rows built in order, byte for
+    byte."""
+    in_order, shuffled = WorkshopEnv(params), WorkshopEnv(params)
+    pairs = [(s, a) for s in range(num_states(params)) for a in range(len(ACTIONS))]
+    for s, a in pairs:
+        in_order._row(s, a)
+    for i in np.random.default_rng(6).permutation(len(pairs)):
+        shuffled._row(*pairs[i])
+    assert in_order._rows.keys() == shuffled._rows.keys()
+    for key, (ids, cum, total) in in_order._rows.items():
+        got_ids, got_cum, got_total = shuffled._rows[key]
+        assert got_ids.tobytes() == ids.tobytes() and bytes(got_cum) == bytes(cum), key
+        assert got_total.hex() == total.hex(), key

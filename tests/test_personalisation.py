@@ -65,6 +65,19 @@ class TestBindRoles:
         scenario = PersoScenario("worker1", "cobot1", ("team1",), "ws")
         assert scenario_from_dict(scenario.to_dict()) == scenario
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("user", 5), ("device", [1]), ("crowd", "ab"), ("crowd", [7]), ("cpss", 3)],
+    )
+    def test_non_string_role_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"roles.{field}"):
+            scenario_from_dict(dict(ROLES, **{field: value}))
+
+    def test_string_roles_parse(self):
+        raw = {"user": "worker1", "device": "cobot1", "crowd": ["team1", "team2"], "cpss": "ws"}
+        assert scenario_from_dict(raw) == PersoScenario("worker1", "cobot1", ("team1", "team2"), "ws")
+        assert scenario_from_dict({"user": "u", "device": "d"}) == PersoScenario("u", "d", ())
+
     def test_leftover_context_list_rejected(self):
         with pytest.raises(ValueError, match="context"):
             scenario_from_dict(dict(ROLES, context=[{"id": "machine1"}]))
