@@ -452,6 +452,44 @@ class TestTrain:
         assert replayed == original
 
 
+class TestRecordPins:
+    """sha256 of the run record, the eval summary and the train stdout on
+    quick_config with a relative ``output_dir``, so that no byte depends on
+    the temporary directory.  A change to how a run is recorded must keep
+    every one of these outputs byte-identical."""
+
+    PINNED_RUN_JSON = {
+        "tabular": "1e76f4bd5bc817f6099b7802227e56f9483b1b0e3aee67c106e8eea39d0ad925",
+        "dqn": "5a9cb95cc00a6c4ed25172506ff8400d1a340ac962b9b24bbac99179d1735730",
+    }
+    # the summary holds no path, so this is also TestEvaluate's tabular-k1 pin
+    PINNED_EVAL_JSON = "ffaca50f7429d0625dbcccf867dd17950b4c887d7e75b5bcc054e245e74a7893"
+    PINNED_TRAIN_STDOUT = "78481674c23b00e8be3e68bdd99169769f76c4954d029e527c0bff9e13409ad2"
+
+    @pytest.fixture
+    def config_path(self, quick_config, write_config):
+        quick_config["output_dir"] = "runs"
+        return write_config(quick_config)
+
+    @pytest.mark.parametrize("agent", list(PINNED_RUN_JSON))
+    def test_run_json_matches_pinned_hash(self, config_path, agent):
+        assert main(["train", str(config_path), "--agent", agent]) == 0
+        digest = hashlib.sha256(Path("runs/quick/run.json").read_bytes()).hexdigest()
+        assert digest == self.PINNED_RUN_JSON[agent]
+
+    def test_eval_json_matches_pinned_hash(self, config_path):
+        assert main(["train", str(config_path), "--agent", "tabular"]) == 0
+        assert main(["evaluate", "runs/quick/qtable.bin", str(config_path), "--episodes", "20"]) == 0
+        digest = hashlib.sha256(Path("runs/quick/qtable_eval.json").read_bytes()).hexdigest()
+        assert digest == self.PINNED_EVAL_JSON
+
+    def test_train_stdout_matches_pinned_hash(self, config_path, capsys):
+        capsys.readouterr()
+        assert main(["train", str(config_path), "--agent", "tabular"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == self.PINNED_TRAIN_STDOUT
+
+
 class TestRunId:
     """``run_id`` names one directory under ``output_dir``: any value that is
     not one path component exits 2 before anything is written."""
