@@ -34,7 +34,7 @@ from .meta_model import (
     load_graph,
     validate_graph,
 )
-from .personalisation import detect_conflicts, objectives_from_config
+from .personalisation import detect_conflicts, objectives_from_config, scenario_from_dict
 from .rl_core import (
     QTABLE_MAGIC,
     FiniteMdp,
@@ -83,10 +83,6 @@ class ExperimentConfig:
     dqn: dqn_mod.DqnHyperparams
     output_dir: Path
     run_id: str
-
-    @property
-    def config_hash(self) -> str:
-        return config_hash(self.raw)
 
 
 def config_hash(raw: Mapping) -> str:
@@ -145,6 +141,11 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
         detect_conflicts(objectives_from_config(resolved.get("objectives", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad objectives section: {exc}") from exc
+    if "roles" in resolved:
+        try:
+            scenario_from_dict(resolved["roles"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad roles section: {exc}") from exc
     try:
         output_dir = _cast(str, resolved.get("output_dir", "runs"), "output_dir")
         run_id = _cast(str, resolved.get("run_id", "run"), "run_id")
@@ -180,30 +181,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return parse_experiment_config(raw, seed_override)
 
 
-@dataclass
-class RunRecord:
-    run_id: str
-    config_hash: str
-    seed: int
-    provenance: str
-    metrics_files: tuple[str, ...]
-    artifact_files: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "provenance": self.provenance,
-            "metrics_files": list(self.metrics_files),
-            "artifact_files": list(self.artifact_files),
-        }
-
-
-def _provenance(cfg_hash: str, seed: int) -> str:
-    return f"cpssperso/{__version__}+cfg.{cfg_hash[:12]}.seed{seed}"
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -211,9 +188,9 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _write_manifest(path: Path, record: RunRecord, extra: dict) -> None:
-    doc = record.to_dict()
-    doc.update(extra)
+def _write_manifest(path: Path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys: the one writer of the
+    JSON outputs, ``run.json`` and the eval summary."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -264,59 +241,50 @@ TABULAR_METRICS_HEADER = ("episode", "return", "epsilon", "max_abs_td_error", "s
 DQN_METRICS_HEADER = ("step", "episode_return", "loss", "epsilon")
 
 
-def run_training(cfg: ExperimentConfig, agent: str, partial_obs: bool, run_dir: Path) -> RunRecord:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    env = WorkshopEnv(cfg.env_params, cfg.profile)
-    metrics_path = run_dir / "metrics.csv"
-    if agent == "tabular":
-        q, metrics = train_tabular(env, cfg.schedule, partial_obs)
-        _write_csv(
-            metrics_path,
-            TABULAR_METRICS_HEADER,
-            [
-                (m.episode, m.episode_return, m.epsilon, m.max_abs_td_error, cfg.env_params.seed)
-                for m in metrics
-            ],
-        )
-        artifact = run_dir / "qtable.bin"
-        save_qtable(q, cfg.env_params.gamma, artifact)
-        seed = cfg.env_params.seed
-    elif agent == "dqn":
-        params, metrics = dqn_mod.train_dqn(env, cfg.dqn, partial_obs)
-        _write_csv(
-            metrics_path,
-            DQN_METRICS_HEADER,
-            [(m.step, m.episode_return, m.loss, m.epsilon) for m in metrics],
-        )
-        artifact = run_dir / "network.bin"
-        dqn_mod.save_params(params, artifact)
-        seed = cfg.dqn.seed
-    else:
-        raise ConfigError(f"unknown agent: {agent!r}")
-    record = RunRecord(
-        run_id=cfg.run_id,
-        config_hash=cfg.config_hash,
-        seed=seed,
-        provenance=_provenance(cfg.config_hash, seed),
-        metrics_files=(metrics_path.name,),
-        artifact_files=(artifact.name,),
-    )
-    _write_manifest(
-        run_dir / "run.json",
-        record,
-        {"agent": agent, "partial_obs": partial_obs, "config": cfg.raw},
-    )
-    return record
-
-
 def cmd_train(config_file: str, agent: str, partial_obs: bool) -> int:
     cfg = load_experiment_config(config_file)
     run_dir = cfg.output_dir / cfg.run_id
-    record = run_training(cfg, agent, partial_obs, run_dir)
-    print(f"run {record.run_id} ({agent}) -> {run_dir}")
-    print(f"  config hash: {record.config_hash}")
-    print(f"  seed: {record.seed}")
-    for name in record.metrics_files + record.artifact_files:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    env = WorkshopEnv(cfg.env_params, cfg.profile)
+    if agent == "tabular":
+        q, metrics = train_tabular(env, cfg.schedule, partial_obs)
+        seed = cfg.env_params.seed
+        _write_csv(
+            run_dir / "metrics.csv",
+            TABULAR_METRICS_HEADER,
+            [(m.episode, m.episode_return, m.epsilon, m.max_abs_td_error, seed) for m in metrics],
+        )
+        artifact = "qtable.bin"
+        save_qtable(q, cfg.env_params.gamma, run_dir / artifact)
+    elif agent == "dqn":
+        params, metrics = dqn_mod.train_dqn(env, cfg.dqn, partial_obs)
+        seed = cfg.dqn.seed
+        _write_csv(
+            run_dir / "metrics.csv",
+            DQN_METRICS_HEADER,
+            [(m.step, m.episode_return, m.loss, m.epsilon) for m in metrics],
+        )
+        artifact = "network.bin"
+        dqn_mod.save_params(params, run_dir / artifact)
+    else:
+        raise ConfigError(f"unknown agent: {agent!r}")
+    cfg_hash = config_hash(cfg.raw)
+    record = {
+        "run_id": cfg.run_id,
+        "config_hash": cfg_hash,
+        "seed": seed,
+        "provenance": f"cpssperso/{__version__}+cfg.{cfg_hash[:12]}.seed{seed}",
+        "metrics_files": ["metrics.csv"],
+        "artifact_files": [artifact],
+        "agent": agent,
+        "partial_obs": partial_obs,
+        "config": cfg.raw,
+    }
+    _write_manifest(run_dir / "run.json", record)
+    print(f"run {cfg.run_id} ({agent}) -> {run_dir}")
+    print(f"  config hash: {cfg_hash}")
+    print(f"  seed: {seed}")
+    for name in record["metrics_files"] + record["artifact_files"]:
         print(f"  wrote {name}")
     return EXIT_OK
 
@@ -387,10 +355,7 @@ def cmd_evaluate(artifact_file: str, config_file: str, episodes: int) -> int:
     # an empty evaluation reports its episode count only
     out = asdict(summary) if summary.episodes else {"episodes": 0}
     print(json.dumps(out, sort_keys=True))
-    summary_path = artifact.with_name(artifact.stem + "_eval.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(artifact.with_name(artifact.stem + "_eval.json"), out)
     return EXIT_OK
 
 

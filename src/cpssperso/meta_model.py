@@ -408,6 +408,19 @@ def _parse_component(raw: object) -> Component:
         raise GraphFormatError(str(exc)) from exc
 
 
+_JSON_TYPE_NAMES = {str: "a string", bool: "true or false", list: "a list of strings"}
+
+
+def _json_value(raw: dict, key: str, default, tp: type, where: str):
+    """``raw[key]``, or ``default`` when the key is absent, which must be of
+    the JSON type ``tp``: a string, a boolean, or (``list``) a list of
+    strings.  str() and bool() would read 5 as "5" and "false" as true."""
+    value = raw.get(key, default)
+    if not isinstance(value, tp) or (tp is list and not all(isinstance(v, str) for v in value)):
+        raise GraphFormatError(f"{where}.{key} must be {_JSON_TYPE_NAMES[tp]}, got {value!r}")
+    return value
+
+
 def graph_from_dict(data: object) -> SosGraph:
     """Build a graph from the plain document schema; raises GraphFormatError
     on any schema problem (structural invariants are left to validate_graph)."""
@@ -418,31 +431,34 @@ def graph_from_dict(data: object) -> SosGraph:
     if not isinstance(nodes_raw, list) or not isinstance(edges_raw, list):
         raise GraphFormatError("'nodes' and 'edges' must be arrays")
     nodes = []
-    for raw in nodes_raw:
+    for i, raw in enumerate(nodes_raw):
         if not isinstance(raw, dict) or "id" not in raw:
             raise GraphFormatError(f"node must be an object with an id: {raw!r}")
+        where = f"nodes[{i}]"
         coupling_raw = str(raw.get("coupling", "Loose")).strip().lower()
         if coupling_raw not in ("tight", "loose"):
             raise GraphFormatError(f"unknown coupling: {raw.get('coupling')!r}")
         nodes.append(
             SystemNode(
-                id=str(raw["id"]),
+                id=_json_value(raw, "id", None, str, where),
                 components=tuple(_parse_component(c) for c in raw.get("components", [])),
-                operational_independence=bool(raw.get("operational_independence", True)),
-                managerial_independence=bool(raw.get("managerial_independence", True)),
+                operational_independence=_json_value(raw, "operational_independence", True, bool, where),
+                managerial_independence=_json_value(raw, "managerial_independence", True, bool, where),
                 coupling=Coupling.TIGHT if coupling_raw == "tight" else Coupling.LOOSE,
-                objectives=tuple(str(o) for o in raw.get("objectives", [])),
+                objectives=tuple(_json_value(raw, "objectives", [], list, where)),
             )
         )
     edges = []
-    for raw in edges_raw:
+    for i, raw in enumerate(edges_raw):
         if not isinstance(raw, dict) or "from" not in raw or "to" not in raw:
             raise GraphFormatError(f"edge must be an object with from/to: {raw!r}")
         try:
             kind = RelationKind(str(raw.get("kind", "")))
         except ValueError:
             raise GraphFormatError(f"unknown relation kind: {raw.get('kind')!r}") from None
-        edges.append(Relation(str(raw["from"]), str(raw["to"]), kind))
+        where = f"edges[{i}]"
+        source = _json_value(raw, "from", None, str, where)
+        edges.append(Relation(source, _json_value(raw, "to", None, str, where), kind))
     return SosGraph(tuple(nodes), tuple(edges))
 
 

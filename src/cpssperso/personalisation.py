@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .meta_model import SosGraph, SystemKind, classify_system
-from .workshop_env import ACTIONS, Action, EnvParams, _cast, dataclass_from_config
+from .workshop_env import ACTIONS, Action, EnvParams, dataclass_from_config
 
 
 class UnknownSystemError(ValueError):
@@ -44,7 +44,7 @@ class PersoScenario:
 
     user: str
     device: str
-    crowd: tuple[str, ...]
+    crowd: tuple[str, ...] = ()
     cpss: str | None = None
 
     def to_dict(self) -> dict:
@@ -54,23 +54,11 @@ class PersoScenario:
         return out
 
 
-_ROLE_KEYS = {"user", "device", "crowd", "cpss"}
-
-
 def scenario_from_dict(raw: Mapping) -> PersoScenario:
     """Parse a ``roles`` mapping.  Unknown keys are rejected, so a context
     list fails instead of being ignored: the context elements are defined by
     ``EnvParams.contexts`` alone."""
-    unknown = set(raw) - _ROLE_KEYS
-    if unknown:
-        raise ValueError(f"unknown roles keys: {sorted(unknown)}")
-    cpss = raw.get("cpss")
-    return PersoScenario(
-        user=_cast(str, raw["user"], "roles.user"),
-        device=_cast(str, raw["device"], "roles.device"),
-        crowd=_cast(tuple[str, ...], raw.get("crowd", []), "roles.crowd"),
-        cpss=None if cpss is None else _cast(str, cpss, "roles.cpss"),
-    )
+    return dataclass_from_config(PersoScenario, raw, "roles")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, is_dataclass, replace
@@ -1093,6 +1094,10 @@ def dataclass_from_config(cls, raw, where: str):
 
 
 def _cast(tp, value, where: str):
+    if isinstance(tp, types.UnionType):  # T | None
+        if value is None:
+            return None
+        (tp,) = (t for t in get_args(tp) if t is not type(None))
     if is_dataclass(tp):
         return dataclass_from_config(tp, value, where)
     if get_origin(tp) is tuple:  # tuple[ContextConfig, ...] or tuple[int, ...]

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import worker_cobot_graph
 from cpssperso import cli
 from cpssperso.cli import main, moving_average
+from cpssperso.meta_model import RelationKind, graph_to_dict
 from cpssperso.rl_core import (
     QTable,
     evaluate_policy,
@@ -89,6 +91,26 @@ class TestClassify:
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"nodes": [], "edges": []}))
         assert main(["classify", str(empty)]) == 2
+
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    def test_string_independence_flag_exits_3(self, tmp_path, capsys, command):
+        """A worker that is not operationally independent makes the pair no
+        SoS; the string "false" must not read as true and make it one."""
+        doc = graph_to_dict(worker_cobot_graph(RelationKind.RS))
+        doc["nodes"][0]["operational_independence"] = False
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc))
+        if command == "classify":
+            assert main(["classify", str(graph)]) == 0
+            assert "not a SoS" in capsys.readouterr().out
+        doc["nodes"][0]["operational_independence"] = "false"
+        graph.write_text(json.dumps(doc))
+        assert main([command, str(graph)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: nodes[0].operational_independence must be true or false, got 'false'"
+        ]
 
 
 class TestValidate:
@@ -287,6 +309,24 @@ class TestTrain:
         assert main(["train", str(path), "--agent", "tabular"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "roles",
+        [
+            {"user": 5, "device": "cobot1"},
+            {"user": "worker1", "device": "cobot1", "bogus": 1},
+            {"user": "worker1"},
+            "x",
+        ],
+        ids=["user-number", "unknown-key", "no-device", "not-an-object"],
+    )
+    def test_bad_roles_exits_2_and_writes_nothing(self, quick_config, write_config, tmp_path, capsys, roles):
+        quick_config["roles"] = roles
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad roles section: ")
+        assert [p.name for p in tmp_path.rglob("*")] == [path.name]
 
     def test_every_key_reads_back_from_its_field(self, workshop_config):
         """Each key of `schedule`, `dqn` and `dqn.epsilon` is the name of the

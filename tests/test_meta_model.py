@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from cpssperso.meta_model import (
     Capability,
     Component,
     ComponentType,
+    GraphFormatError,
     GraphValidationError,
     InvalidSystemError,
     Relation,
@@ -25,7 +28,7 @@ from cpssperso.meta_model import (
     save_graph,
     validate_graph,
 )
-from conftest import node_of, worker_cobot_graph
+from conftest import CONFIGS, node_of, worker_cobot_graph
 
 CYBER = full_component(ComponentType.CYBER)
 PHYSICAL = full_component(ComponentType.PHYSICAL)
@@ -261,7 +264,38 @@ class TestGraphIo:
         )
 
     def test_unknown_relation_kind_rejected(self):
-        from cpssperso.meta_model import GraphFormatError
-
         with pytest.raises(GraphFormatError):
             graph_from_dict({"nodes": [], "edges": [{"from": "a", "to": "b", "kind": "RX"}]})
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d["nodes"][0].update(id=5), "nodes[0].id"),
+            (lambda d: d["edges"][0].update({"from": 5}), "edges[0].from"),
+            (lambda d: d["edges"][0].update(to=["cobot"]), "edges[0].to"),
+            (lambda d: d["nodes"][0].update(operational_independence="false"), "nodes[0].operational_independence"),
+            (lambda d: d["nodes"][1].update(managerial_independence=0), "nodes[1].managerial_independence"),
+            (lambda d: d["nodes"][0].update(objectives="ab"), "nodes[0].objectives"),
+            (lambda d: d["nodes"][0].update(objectives=["a", 1]), "nodes[0].objectives"),
+        ],
+        ids=["node-id-number", "edge-from-number", "edge-to-list", "independence-string",
+             "independence-number", "objectives-string", "objectives-non-string"],
+    )
+    def test_non_json_type_rejected_naming_the_field(self, edit, field):
+        """Ids are JSON strings, the independence flags JSON booleans and
+        objectives a list of strings; no value is cast into one."""
+        doc = graph_to_dict(worker_cobot_graph(RelationKind.RS))
+        edit(doc)
+        with pytest.raises(GraphFormatError, match=re.escape(field)):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["smart_workshop_graph.json", "worker_cobot_rp_only_graph.json"])
+    def test_shipped_graphs_load_as_written(self, name):
+        raw = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+        graph = load_graph(CONFIGS / name)
+        assert [n.id for n in graph.nodes] == [n["id"] for n in raw["nodes"]]
+        for node, doc in zip(graph.nodes, raw["nodes"]):
+            assert node.operational_independence is doc.get("operational_independence", True)
+            assert node.managerial_independence is doc.get("managerial_independence", True)
+            assert node.objectives == tuple(doc.get("objectives", []))
+        assert [(e.source, e.target) for e in graph.edges] == [(e["from"], e["to"]) for e in raw["edges"]]

@@ -78,6 +78,9 @@ class TestBindRoles:
         assert scenario_from_dict(raw) == PersoScenario("worker1", "cobot1", ("team1", "team2"), "ws")
         assert scenario_from_dict({"user": "u", "device": "d"}) == PersoScenario("u", "d", ())
 
+    def test_null_cpss_parses_as_none(self):
+        assert scenario_from_dict({"user": "u", "device": "d", "cpss": None}) == PersoScenario("u", "d")
+
     def test_leftover_context_list_rejected(self):
         with pytest.raises(ValueError, match="context"):
             scenario_from_dict(dict(ROLES, context=[{"id": "machine1"}]))
