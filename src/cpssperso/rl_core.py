@@ -125,7 +125,9 @@ def value_iteration(
     Sweeps run action-major: Q and the next Q are two (A, S) C-contiguous
     buffers, allocated once and swapped every sweep, so the max over actions
     and every elementwise step run along the state axis, and ``expect``
-    writes into the next-Q buffer (its ``out``).  Each step is
+    writes into the next-Q buffer (its ``out``).  The workshop's rewards are
+    the (S, A) view of an (A, S) array too, so adding them is contiguous;
+    any other layout gives the same bytes, more slowly.  Each step is
     elementwise or an exact max, and ``gamma * E[v] + r`` equals
     ``r + gamma * E[v]`` bit for bit, so Q is bit-identical to the
     state-major backup ``rewards + gamma * expect(q.max(axis=1))``.  The
@@ -149,7 +151,7 @@ def value_iteration(
     for _ in range(max(max_sweeps, 1) + 2):
         _backup(mdp, gamma, np.maximum.reduce(q, axis=0, out=v), nxt)
         # |nxt - q| goes into q's buffer, which is not read again
-        delta = float(np.max(np.abs(np.subtract(nxt, q, out=q), out=q)))
+        delta = float(np.maximum.reduce(np.abs(np.subtract(nxt, q, out=q), out=q), axis=None))
         q, nxt = nxt, q
         if delta <= tolerance:
             return QTable(q.T)

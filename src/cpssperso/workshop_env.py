@@ -25,7 +25,7 @@ import math
 import types
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -724,39 +724,50 @@ class FactoredModel:
         pressure, with the kernel of each machine-bit column's flag.  The
         sums run in another order than the matrix product's, so the two
         agree to rounding, not bit for bit.  The result is written into
-        ``out``, a C-contiguous (A, S) float64 array, so that a caller that
-        expects once per sweep allocates no array of its size, and is
-        returned as its (S, A) view."""
+        ``out``, a C-contiguous (A, S) float64 array, and is returned as its
+        (S, A) view.  Each worker x pressure product is written straight
+        into ``out``'s block of its run of actions, so a call allocates no
+        array of ``out``'s size: the machine-kernel passes hold at most
+        three arrays of one action's size."""
         _, n_a, n_wt, _ = self.worker_team.shape
         n_m = 1 << self.num_machines
         minor, groups = self._machine_kernels
         if out.shape != (n_a, n_wt * n_m) or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous float64 array of shape {(n_a, n_wt * n_m)}")
-        out = out.reshape(n_a, n_wt, n_m)
-        for actions, powers, wt_major, wt_minor, block in groups:
+        blocks = out.reshape(n_a, n_wt, n_m)
+        for powers, runs in groups:
             u = v.reshape(n_wt, n_m)
-            for power in powers:
-                # sum over the lowest bits, then move them to the front so
-                # that the next ones are lowest; after the last, the order is back
-                n = len(power)
-                u = (u.reshape(-1, n) @ power.T).reshape(n_wt, -1, n).transpose(0, 2, 1)
-            u = u.reshape(n_wt, n_m)
-            out[actions] = wt_major @ u
-            if minor.size:
-                out[block] = wt_minor @ u[:, minor]
-        return out.transpose(1, 2, 0).reshape(-1, n_a)
+            if len(powers) == 1:  # all the bits at once: no reordering to undo
+                u = u @ powers[0].T
+            else:
+                for power in powers:
+                    # sum over the lowest bits, then move them to the front so
+                    # that the next ones are lowest; after the last, the order is back
+                    n = len(power)
+                    u = (u.reshape(-1, n) @ power.T).reshape(n_wt, -1, n).transpose(0, 2, 1)
+                u = u.reshape(n_wt, n_m)
+            for run, wt_major, wt_minor in runs:
+                block = blocks[run]
+                np.matmul(wt_major, u, out=block)
+                if isinstance(minor, slice):
+                    np.matmul(wt_minor, u[:, minor], out=block[:, :, minor])
+                elif minor.size:
+                    block[:, :, minor] = wt_minor @ u[:, minor]
+        return out.T
 
     @functools.cached_property
-    def _machine_kernels(self) -> tuple[np.ndarray, list[tuple]]:
+    def _machine_kernels(self) -> tuple[slice | np.ndarray, list[tuple]]:
         """What ``expect`` needs of the model, built once.  Every machine-bit
         column takes the worker x pressure kernel of the commoner flag
         (``major``), then the ``minor`` columns, of the other flag, are done
-        again with their own.  Returns ``minor`` and, for each distinct
-        (bit, next bit) machine kernel: the actions that share it, Kronecker
+        again with their own.  Returns ``minor``, a slice when those columns
+        are one run (with every machine influencing, the all-ok column 0),
+        and, for each distinct (bit, next bit) machine kernel: Kronecker
         powers of it that together cover the machine bits, ``_KRON_BITS``
-        bits at most each, the actions' major and minor worker x pressure
-        kernels, and the ``np.ix_`` block of the minor columns (those two
-        ``None`` when there are none)."""
+        bits at most each, and one (actions, major kernels, minor kernels)
+        triple per run of consecutive actions that share it, the actions a
+        slice.  The four actions other than assist make the runs ``0:3`` and
+        ``4:5``."""
         groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for a, outcomes in enumerate(self.machine_outcomes):
             kernel = np.zeros((2, 2))
@@ -766,21 +777,29 @@ class FactoredModel:
             groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
         full, rest = divmod(self.num_machines, _KRON_BITS)
         chunks = [_KRON_BITS] * full + ([rest] if rest else [])
-        n_wt = self.worker_team.shape[2]
         n_m = 1 << self.num_machines
         flags = (np.arange(n_m) & self.influence_mask) != 0
         major = int(2 * np.count_nonzero(flags) > n_m)
         minor = np.flatnonzero(flags != major)
+        if minor.size and minor[-1] - minor[0] + 1 == minor.size:
+            minor = slice(int(minor[0]), int(minor[-1]) + 1)
         kernels = []
         for kernel, actions in groups.values():
-            actions = np.array(actions)
             powers = [functools.reduce(np.kron, [kernel] * g) for g in chunks]
-            wt_minor = block = None
-            if minor.size:
-                wt_minor = self.worker_team[1 - major, actions]
-                block = np.ix_(actions, np.arange(n_wt), minor)
-            kernels.append((actions, powers, self.worker_team[major, actions], wt_minor, block))
+            runs = [(run, self.worker_team[major, run], self.worker_team[1 - major, run]) for run in _runs(actions)]
+            kernels.append((powers, runs))
         return minor, kernels
+
+
+def _runs(ids: list[int]) -> list[slice]:
+    """Ascending ``ids`` as slices of consecutive values."""
+    runs: list[slice] = []
+    for i in ids:
+        if runs and runs[-1].stop == i:
+            runs[-1] = slice(runs[-1].start, i + 1)
+        else:
+            runs.append(slice(i, i + 1))
+    return runs
 
 
 def _influence_mask(params: EnvParams) -> int:
@@ -855,11 +874,15 @@ def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
     """``reward_fn(...).total`` for every (state id, action index), as an
     (S, A) array: ``reward_cells`` gathered at each id's worker x pressure
     and number of degraded influencing machines, so it is bit-equal to
-    ``reward_fn``."""
+    ``reward_fn``.  The array is the transposed view of a C-contiguous
+    (A, S) one, the layout of value iteration's sweeps."""
     k = len(params.contexts)
     influencing = np.arange(1 << k) & _influence_mask(params)
     counts = _BYTE_BITS[influencing & 0xFF] + _BYTE_BITS[influencing >> 8]
-    return reward_cells(params, profile)[:, counts].reshape(-1, len(ACTIONS))
+    cells = reward_cells(params, profile).transpose(2, 0, 1)
+    # take, unlike an index array on the last axis, returns a C-contiguous
+    # (A, 36, 2^k) array, so the reshape is a view
+    return cells.take(counts, axis=2).reshape(len(ACTIONS), -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -1083,13 +1106,17 @@ class WorkshopEnv:
 def dataclass_from_config(cls, raw, where: str):
     """An instance of the dataclass ``cls`` from the keys that ``raw`` sets,
     each cast to its field's type.  Every other field keeps its default, and
-    unknown keys are rejected so that typos do not silently fall back to it."""
+    unknown keys are rejected so that typos do not silently fall back to it.
+    A field without a default must be set; the error names its config path."""
     if not isinstance(raw, Mapping):
         raise InvalidParamsError(f"{where} must be an object, got {raw!r}")
     types = get_type_hints(cls)
     unknown = set(raw) - set(types)
     if unknown:
         raise InvalidParamsError(f"unknown {where} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise InvalidParamsError(f"{where}.{f.name} is required")
     return cls(**{key: _cast(types[key], value, f"{where}.{key}") for key, value in raw.items()})
 
 

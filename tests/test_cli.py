@@ -328,6 +328,24 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: bad roles section: ")
         assert [p.name for p in tmp_path.rglob("*")] == [path.name]
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda doc: doc.update(roles={"user": "worker1"}), "bad roles section: roles.device is required"),
+            (lambda doc: doc["env"]["contexts"][0].pop("id"), "bad env section: env.contexts[0].id is required"),
+            (
+                lambda doc: doc["objectives"][0].pop("direction"),
+                "bad objectives section: objectives[0].direction is required",
+            ),
+        ],
+        ids=["roles-device", "context-id", "objective-direction"],
+    )
+    def test_missing_key_is_named_by_its_path(self, quick_config, write_config, capsys, edit, error):
+        edit(quick_config)
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
     def test_every_key_reads_back_from_its_field(self, workshop_config):
         """Each key of `schedule`, `dqn` and `dqn.epsilon` is the name of the
         field that holds its value."""
