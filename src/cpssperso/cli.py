@@ -44,6 +44,7 @@ from .rl_core import (
     greedy_policy,
     load_qtable,
     optimistic_initial_value,
+    replacing,
     save_qtable,
     train_tabular,
     value_iteration,
@@ -182,7 +183,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -191,7 +192,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 def _write_manifest(path: Path, doc: dict) -> None:
     """Write ``doc`` as indented JSON with sorted keys: the one writer of the
     JSON outputs, ``run.json`` and the eval summary."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -403,8 +404,8 @@ def sweep_param(
         point = parse_experiment_config(doc)
         params, profile = point.env_params, point.profile
         if agent == "vi":
-            mdp = FiniteMdp.from_env(params, profile)
-            pi = greedy_policy(value_iteration(mdp, params.gamma, 1e-9))
+            mdp = FiniteMdp.from_env(params, profile).lumped()
+            pi = mdp.expand(greedy_policy(value_iteration(mdp, params.gamma, 1e-9)))
         elif agent == "tabular":
             env = WorkshopEnv(params, profile)
             q, _ = train_tabular(env, point.schedule)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rl_core import check_linear_decay, linear_decay
+from .rl_core import check_linear_decay, linear_decay, replacing
 from .workshop_env import (
     ACTIONS,
     EnvParams,
@@ -577,7 +577,7 @@ MLP_MAGIC = b"MLP1"
 
 def save_params(params: MlpParams, path: str | Path) -> None:
     sizes = params.layer_sizes
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(MLP_MAGIC)
         fh.write(struct.pack("<q", len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}q", *sizes))

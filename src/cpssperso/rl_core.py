@@ -9,8 +9,10 @@ Q-table can be persisted as a flat binary array with a small header.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +25,8 @@ from .workshop_env import (
     ScalarDraws,
     WorkerProfile,
     WorkshopEnv,
+    influence_counts,
+    reward_cells,
     reward_table,
     safety_violation_ids,
     worker_need_ids,
@@ -91,19 +95,24 @@ class FiniteMdp:
     @classmethod
     def from_env(cls, params: EnvParams, profile: WorkerProfile) -> "WorkshopMdp":
         """The workshop, exactly (no sampling): its factored transition
-        model and its reward table."""
-        return WorkshopMdp(FactoredModel(params, profile), reward_table(params, profile))
+        model, and its reward table on first read."""
+        return WorkshopMdp(FactoredModel(params, profile), params, profile)
 
 
 class WorkshopMdp(FiniteMdp):
-    """The workshop as its ``FactoredModel`` plus the (S, A) rewards.
-    ``expect`` never builds the dense matrix; ``transitions`` builds it with
-    ``FactoredModel.dense()`` on first read and keeps it, as an oracle for
-    tests and checks."""
+    """The workshop as its ``FactoredModel`` plus the (S, A) rewards of
+    ``reward_table``, built on first read.  ``expect`` never builds the
+    dense matrix; ``transitions`` builds it with ``FactoredModel.dense()``
+    on first read and keeps it, as an oracle for tests and checks."""
 
-    def __init__(self, model: FactoredModel, rewards: np.ndarray):
+    def __init__(self, model: FactoredModel, params: EnvParams, profile: WorkerProfile):
         self.model = model
-        self.rewards = rewards
+        self.params = params
+        self.profile = profile
+
+    @cached_property
+    def rewards(self) -> np.ndarray:
+        return reward_table(self.params, self.profile)
 
     @cached_property
     def transitions(self) -> np.ndarray:
@@ -111,6 +120,105 @@ class WorkshopMdp(FiniteMdp):
 
     def expect(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         return self.model.expect(v, out)
+
+    def lumped(self) -> "LumpedMdp":
+        """The same workshop on its lumped chain; builds nothing."""
+        return LumpedMdp(self.model, self.params, self.profile)
+
+
+class LumpedMdp(FiniteMdp):
+    """The workshop on the chain of (worker x pressure, number ``c`` of
+    degraded influencing machines), lumped state ``(s >> k) * (m + 1) + c``
+    for ``m`` influencing machines: 36 (m + 1) states in place of 36 * 2^k.
+
+    The lumping is exact (Kemeny & Snell 1960): the worker sees the
+    machines only through the flag ``c > 0`` and the reward only through
+    ``c``, and under one action every machine moves by the same kernel, so
+    ``c`` moves by a sum of two binomials (``c -> c + Bin(m - c, p)`` under
+    the four actions other than assist, ``c -> 0`` under assist).  Machines
+    that influence nothing drop out.  Q of a state id is the lumped Q of its
+    lumped state, to rounding.  The count kernels and the rewards are built
+    on first read, inside ``value_iteration``; ``transitions``, the dense
+    (L, A, L) matrix, is an oracle built on first read."""
+
+    def __init__(self, model: FactoredModel, params: EnvParams, profile: WorkerProfile):
+        self.model = model
+        self.params = params
+        self.profile = profile
+        self.num_counts = model.influence_mask.bit_count() + 1
+
+    @cached_property
+    def rewards(self) -> np.ndarray:
+        """``reward_cells`` as the (L, A) view of an (A, L) array."""
+        cells = reward_cells(self.params, self.profile)
+        return np.ascontiguousarray(cells.transpose(2, 0, 1)).reshape(cells.shape[2], -1).T
+
+    @cached_property
+    def _count_kernels(self) -> np.ndarray:
+        """The (A, m + 1, m + 1) count kernels.  Row ``c`` of an action's is
+        the distribution of the next count: the next bits of the ``c``
+        degraded machines convolved with those of the ``m - c`` ok ones,
+        under the action's machine kernel."""
+        n = self.num_counts
+        out = np.empty((len(self.model.machine_outcomes), n, n))
+        for kernel, actions in self.model.kernel_groups:
+            # [bit][j]: the distribution of how many of j machines at bit go to 1
+            pmfs: list[list[np.ndarray]] = [[np.ones(1)], [np.ones(1)]]
+            for _ in range(n - 1):
+                for bit in (0, 1):
+                    pmfs[bit].append(np.convolve(pmfs[bit][-1], kernel[bit]))
+            out[actions] = [np.convolve(pmfs[1][c], pmfs[0][n - 1 - c]) for c in range(n)]
+        return out
+
+    @cached_property
+    def _operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """What ``expect`` needs, built once: the count kernels as one
+        (A (m + 1) 2, m + 1) array, whose row (a, c, f) is row ``c`` of
+        action ``a``'s kernel where ``f`` is the flag ``c > 0`` and zero
+        where it is not, and the (A, 36, 2 * 36) worker x pressure kernels
+        of both flags side by side."""
+        wt = self.model.worker_team
+        _, n_a, n_wt, _ = wt.shape
+        n = self.num_counts
+        masked = np.zeros((n_a, n, 2, n))
+        masked[:, 0, 0] = self._count_kernels[:, 0]
+        masked[:, 1:, 1] = self._count_kernels[:, 1:]
+        both = np.ascontiguousarray(wt.transpose(1, 2, 0, 3)).reshape(n_a, n_wt, 2 * n_wt)
+        return masked.reshape(-1, n), both
+
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        wt = self.model.worker_team
+        flags = (np.arange(self.num_counts) > 0).astype(np.intp)
+        # [worker x pressure, count, action, next worker x pressure, next count]
+        p = np.einsum("caij,acd->icajd", wt[flags], self._count_kernels)
+        return p.reshape(self.num_states, wt.shape[1], -1)
+
+    def expect(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``transitions @ v`` as an (L, A) array, without building the
+        matrix, in two products: the count kernels on ``v`` as a (36, m + 1)
+        array, each row into the slot of its flag, then per action both
+        flags' worker x pressure kernels on those, written straight into
+        ``out``, a C-contiguous (A, L) float64 array, whose (L, A) view is
+        returned.  Where a flag does not hold, its slot is zero, which
+        changes no sum."""
+        masked, both = self._operators
+        n_a, n_wt, _ = both.shape
+        n = self.num_counts
+        if out.shape != (n_a, n_wt * n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {(n_a, n_wt * n)}")
+        # [action, count, flag x worker x pressure]
+        z = (masked @ v.reshape(n_wt, n).T).reshape(n_a, n, 2 * n_wt)
+        np.matmul(both, z.transpose(0, 2, 1), out=out.reshape(n_a, n_wt, n))
+        return out.T
+
+    def expand(self, lumped: np.ndarray) -> np.ndarray:
+        """An array over lumped states, such as a policy or a Q-table, as
+        the array over state ids that takes each id's lumped entry: the
+        count is the popcount of the id's influencing machine bits."""
+        k = self.model.num_machines
+        rows = lumped.reshape(-1, self.num_counts, *lumped.shape[1:])
+        return rows.take(influence_counts(self.params), axis=1).reshape(len(rows) << k, *lumped.shape[1:])
 
 
 def value_iteration(
@@ -436,11 +544,29 @@ def exact_match_rate(
 QTABLE_MAGIC = b"QTB1"
 
 
+@contextmanager
+def replacing(path: str | Path, mode: str = "wb", **kwargs):
+    """A file opened with ``mode`` beside ``path``, that ``os.replace``
+    moves onto ``path`` when the block ends without an error.  So ``path``
+    holds its old content or the whole new one, never a part: an error or
+    an interruption removes the temporary file and leaves ``path`` as it
+    was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_qtable(q: QTable, gamma: float, path: str | Path) -> None:
     if not np.all(np.isfinite(q.values)):
         raise ValueError("refusing to persist a q-table with non-finite entries")
     header = QTABLE_MAGIC + struct.pack("<qqd", q.num_states, q.num_actions, gamma)
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(header)
         fh.write(q.values.astype("<f8").tobytes())
 

@@ -575,6 +575,57 @@ def initial_state(params: EnvParams, profile: WorkerProfile) -> WorkshopState:
 #: product in place of five rounds of array operations.
 _KRON_BITS = 5
 
+#: How far apart two ``WORKER_STATES`` indices one level apart in a dimension are.
+_DIM_STRIDE = {"emotional": 9, "cognitive_load": 3, "pace": 1}
+
+
+def _worker_kernel(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
+    """``_worker_outcomes`` as a (2, A, 18, 18) array over the flag "any
+    influencing machine degraded", the action, the worker and the next
+    worker, bit-equal to it, with no ``WorkshopState`` built per entry: the
+    need comes from ``_worker_need_table`` and the move from the same rules
+    on the ``WorkerState``, and the noise and the stress of a speed-up next
+    to a degraded machine move worker indices, summed in
+    ``_worker_outcomes``'s order."""
+    n_w, n_a = len(WORKER_STATES), len(ACTIONS)
+    need = _worker_need_table(profile).tolist()
+    noise = params.noise_p
+    #: flat indices into the kernel, and their probabilities
+    at: list[int] = []
+    probs: list[float] = []
+    for a, action in enumerate(ACTIONS):
+        for w, worker in enumerate(WORKER_STATES):
+            for flag in (0, 1):
+                move = (
+                    _matched_move(worker, profile, action)
+                    if need[w][flag] == a
+                    else _degrade_move(worker, profile, action)
+                )
+                acc: dict[int, float] = {}
+                if move is None or getattr(worker, move[0]) is move[1]:
+                    acc[w] = 1.0
+                else:
+                    dim, target = move
+                    levels, stride = _DIM_LEVELS[dim], _DIM_STRIDE[dim]
+                    t = levels.index(target)
+                    base = w - levels.index(getattr(worker, dim)) * stride
+                    nbrs = [i for i in (t - 1, t + 1) if 0 <= i < len(levels)]
+                    for i, p in [(t, 1.0 - noise)] + [(i, noise / len(nbrs)) for i in nbrs]:
+                        if p > 0.0:
+                            acc[base + i * stride] = p
+                if flag and action is Action.SPEED_UP:
+                    stressed: dict[int, float] = {}
+                    for j, p in acc.items():
+                        j = j % 9 + 9  # the same worker, stressed
+                        stressed[j] = stressed.get(j, 0.0) + p
+                    acc = stressed
+                row = ((flag * n_a + a) * n_w + w) * n_w
+                at.extend(row + j for j in acc)
+                probs.extend(acc.values())
+    kernel = np.zeros((2, n_a, n_w, n_w))
+    kernel.ravel()[at] = probs
+    return kernel
+
 
 class FactoredModel:
     """``transition_model`` as per-factor tables on ``encode_state`` ids.
@@ -582,8 +633,8 @@ class FactoredModel:
     The worker sees the machines only through the flag "any influencing
     machine degraded", so worker x pressure is one (36, 36) matrix per flag
     and action, and every machine moves by the same outcomes per action.
-    The tables come from ``_worker_outcomes``, ``_pressure_outcomes`` and
-    ``_machine_outcomes``.  Products are taken in ``transition_model``'s
+    The tables come from ``_worker_outcomes`` (its rules, on worker indices:
+    ``_worker_kernel``), ``_pressure_outcomes`` and ``_machine_outcomes``.  Products are taken in ``transition_model``'s
     order, ``(p_worker * p_pressure) * ((m1 * m2) * ...)``, and zero outcomes
     are dropped, so rows and the dense matrix are bit-equal to it.  ``expect``
     takes expectations under the kernel without building that matrix.
@@ -593,18 +644,13 @@ class FactoredModel:
         self.num_machines = len(params.contexts)
         self.influence_mask = _influence_mask(params)
         n_w, n_a = len(WORKER_STATES), len(ACTIONS)
-        worker = np.zeros((2, n_a, n_w, n_w))
+        worker = _worker_kernel(params, profile)
         #: [action][machine bit]: (next machine bit, probability) pairs, ascending
         self.machine_outcomes: list[list[list[tuple[int, float]]]] = [[] for _ in ACTIONS]
-        # one influencing probe machine: its condition is the worker's flag
-        # and the current bit of the machine kernel
-        for flag, condition in enumerate((MachineCondition.OK, MachineCondition.DEGRADED)):
+        # one probe machine: its condition is the current bit of the machine kernel
+        for condition in (MachineCondition.OK, MachineCondition.DEGRADED):
             probe = ContextElement("probe", condition, True)
             for a, action in enumerate(ACTIONS):
-                for w, ws in enumerate(WORKER_STATES):
-                    state = WorkshopState(ws, TeamState(Pressure.LOW), (probe,))
-                    for nxt, p in _worker_outcomes(state, action, params, profile):
-                        worker[flag, a, w, WORKER_INDEX[nxt]] = p
                 self.machine_outcomes[a].append([
                     (int(nxt is MachineCondition.DEGRADED), p)
                     for nxt, p in _machine_outcomes(probe, action, params)
@@ -756,6 +802,20 @@ class FactoredModel:
         return out.T
 
     @functools.cached_property
+    def kernel_groups(self) -> list[tuple[np.ndarray, list[int]]]:
+        """Each distinct machine kernel, a (2, 2) array over the machine's
+        bit and its next bit, with the ascending actions that move every
+        machine by it: assist, which repairs, and the four others."""
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for a, outcomes in enumerate(self.machine_outcomes):
+            kernel = np.zeros((2, 2))
+            for bit, pairs in enumerate(outcomes):
+                for nxt, p in pairs:
+                    kernel[bit, nxt] = p
+            groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
+        return list(groups.values())
+
+    @functools.cached_property
     def _machine_kernels(self) -> tuple[slice | np.ndarray, list[tuple]]:
         """What ``expect`` needs of the model, built once.  Every machine-bit
         column takes the worker x pressure kernel of the commoner flag
@@ -768,13 +828,6 @@ class FactoredModel:
         triple per run of consecutive actions that share it, the actions a
         slice.  The four actions other than assist make the runs ``0:3`` and
         ``4:5``."""
-        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for a, outcomes in enumerate(self.machine_outcomes):
-            kernel = np.zeros((2, 2))
-            for bit, pairs in enumerate(outcomes):
-                for nxt, p in pairs:
-                    kernel[bit, nxt] = p
-            groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
         full, rest = divmod(self.num_machines, _KRON_BITS)
         chunks = [_KRON_BITS] * full + ([rest] if rest else [])
         n_m = 1 << self.num_machines
@@ -784,7 +837,7 @@ class FactoredModel:
         if minor.size and minor[-1] - minor[0] + 1 == minor.size:
             minor = slice(int(minor[0]), int(minor[-1]) + 1)
         kernels = []
-        for kernel, actions in groups.values():
+        for kernel, actions in self.kernel_groups:
             powers = [functools.reduce(np.kron, [kernel] * g) for g in chunks]
             runs = [(run, self.worker_team[major, run], self.worker_team[1 - major, run]) for run in _runs(actions)]
             kernels.append((powers, runs))
@@ -844,6 +897,13 @@ def safety_violation_ids(params: EnvParams) -> np.ndarray:
 _BYTE_BITS = np.array([i.bit_count() for i in range(256)], dtype=np.intp)
 
 
+def influence_counts(params: EnvParams) -> np.ndarray:
+    """The number of degraded influencing machines in every machine-bit
+    pattern, an (2^k,) array: two ``_BYTE_BITS`` lookups each."""
+    influencing = np.arange(1 << len(params.contexts)) & _influence_mask(params)
+    return _BYTE_BITS[influencing & 0xFF] + _BYTE_BITS[influencing >> 8]
+
+
 def reward_cells(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
     """``reward_fn(...).total`` as a (36, m + 1, A) table over worker x
     pressure, the number of degraded influencing machines (of ``m``) and
@@ -876,13 +936,10 @@ def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
     and number of degraded influencing machines, so it is bit-equal to
     ``reward_fn``.  The array is the transposed view of a C-contiguous
     (A, S) one, the layout of value iteration's sweeps."""
-    k = len(params.contexts)
-    influencing = np.arange(1 << k) & _influence_mask(params)
-    counts = _BYTE_BITS[influencing & 0xFF] + _BYTE_BITS[influencing >> 8]
     cells = reward_cells(params, profile).transpose(2, 0, 1)
     # take, unlike an index array on the last axis, returns a C-contiguous
     # (A, 36, 2^k) array, so the reshape is a view
-    return cells.take(counts, axis=2).reshape(len(ACTIONS), -1).T
+    return cells.take(influence_counts(params), axis=2).reshape(len(ACTIONS), -1).T
 
 
 # ---------------------------------------------------------------------------

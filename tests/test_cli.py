@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import worker_cobot_graph
-from cpssperso import cli
+from cpssperso import cli, dqn
 from cpssperso.cli import main, moving_average
 from cpssperso.meta_model import RelationKind, graph_to_dict
 from cpssperso.rl_core import (
@@ -17,6 +18,7 @@ from cpssperso.rl_core import (
     greedy_policy,
     load_qtable,
     optimistic_initial_value,
+    replacing,
     save_qtable,
 )
 
@@ -816,6 +818,81 @@ class TestSweep:
         assert main(["sweep", str(path), "--param", "env.weights.w_team", "--values", values]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "finite" in err[0]
+
+
+#: Each writer of an output, called on one path.
+WRITERS = {
+    "csv": lambda path: cli._write_csv(path, ("a", "b"), [(1, 2.5)]),
+    "manifest": lambda path: cli._write_manifest(path, {"episodes": 0}),
+    "qtable": lambda path: save_qtable(QTable(np.ones((3, 2))), 0.9, path),
+    "network": lambda path: dqn.save_params(dqn.init_mlp([4, 3, 2], np.random.default_rng(0)), path),
+}
+
+
+class TestOutputsLandWhole:
+    """Every output is written to a temporary file beside it and moved onto
+    its name by ``os.replace``, so an interrupted run leaves no part of a
+    file that ``evaluate`` would load."""
+
+    @staticmethod
+    def fail(src, dst):
+        raise OSError(f"cannot move {src} onto {dst}")
+
+    @pytest.fixture
+    def failing_replace(self, monkeypatch):
+        monkeypatch.setattr(os, "replace", self.fail)
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_a_failed_replace_leaves_no_file(self, tmp_path, failing_replace, writer):
+        with pytest.raises(OSError, match="cannot move"):
+            WRITERS[writer](tmp_path / "out.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_a_failed_replace_keeps_the_old_file(self, tmp_path, failing_replace, writer):
+        (tmp_path / "out.bin").write_bytes(b"old")
+        with pytest.raises(OSError, match="cannot move"):
+            WRITERS[writer](tmp_path / "out.bin")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert (tmp_path / "out.bin").read_bytes() == b"old"
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_writes_only_the_final_file(self, tmp_path, writer):
+        WRITERS[writer](tmp_path / "out.bin")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_an_error_while_writing_removes_the_temporary_file(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with replacing(tmp_path / "out.bin") as fh:
+                fh.write(b"part")
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "CONFIG", "--agent", "tabular"],
+            ["train", "CONFIG", "--agent", "dqn"],
+            ["sweep", "CONFIG", "--param", "env.noise_p", "--values", "0.1", "--episodes", "1"],
+        ],
+        ids=["tabular", "dqn", "sweep"],
+    )
+    def test_a_command_whose_replace_fails_exits_3_and_leaves_no_output(
+        self, quick_config, write_config, failing_replace, argv
+    ):
+        path = write_config(quick_config)
+        assert main([str(path) if a == "CONFIG" else a for a in argv]) == 3
+        run_dir = Path(quick_config["output_dir"]) / "quick"
+        assert [p.name for p in run_dir.iterdir()] == []
+
+    def test_an_evaluate_whose_replace_fails_leaves_no_summary(self, quick_config, write_config, monkeypatch):
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "tabular"]) == 0
+        run_dir = Path(quick_config["output_dir"]) / "quick"
+        before = sorted(p.name for p in run_dir.iterdir())
+        monkeypatch.setattr(os, "replace", self.fail)
+        assert main(["evaluate", str(run_dir / "qtable.bin"), str(path), "--episodes", "2"]) == 3
+        assert sorted(p.name for p in run_dir.iterdir()) == before
 
 
 class TestEmitPlotData:

@@ -7,22 +7,34 @@ equal what ``transition_model`` and ``reward_fn`` give, bit for bit; the
 matrix-free ``expect`` must match the dense product to rounding, and value
 iteration through it must match value iteration on the dense matrix."""
 
+import csv
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cpssperso.rl_core import FiniteMdp, bellman_residual, greedy_policy, value_iteration
+from cpssperso.cli import main
+from cpssperso.rl_core import FiniteMdp, QTable, bellman_residual, greedy_policy, value_iteration
 from cpssperso.workshop_env import (
     ACTIONS,
     PACES,
-    Pace,
+    WORKER_INDEX,
+    WORKER_STATES,
     ContextConfig,
+    ContextElement,
     EnvParams,
     FactoredModel,
+    MachineCondition,
+    Pace,
+    Pressure,
     RewardMagnitudes,
+    TeamState,
     WorkerProfile,
     WorkshopEnv,
+    WorkshopState,
+    _worker_kernel,
+    _worker_outcomes,
     decode_state,
     encode_state,
     num_states,
@@ -116,14 +128,18 @@ def check_against_reference(params: EnvParams, profile: WorkerProfile) -> None:
     q = value_iteration(mdp, params.gamma, 1e-9)
     q_dense = value_iteration(FiniteMdp(p_ref, r_ref), params.gamma, 1e-9)
     assert np.max(np.abs(q.values - q_dense.values)) <= 1e-9
-    # The greedy actions are identical wherever the best action leads the
-    # runner-up.  Where two actions tie exactly (noise_p = 0 can make speed-up
-    # and assist equally good), rounding picks either; both are optimal.
-    pi, pi_dense = greedy_policy(q), greedy_policy(q_dense)
-    top2 = np.sort(q_dense.values, axis=1)[:, -2:]
+    assert_greedy_agrees(q_dense.values, greedy_policy(q))
+
+
+def assert_greedy_agrees(q_ref: np.ndarray, pi: np.ndarray) -> None:
+    """The greedy actions ``pi`` are those of ``q_ref`` wherever its best
+    action leads the runner-up.  Where two actions tie exactly (noise_p = 0
+    can make speed-up and assist equally good), rounding picks either; both
+    are optimal."""
+    top2 = np.sort(q_ref, axis=1)[:, -2:]
     unique = top2[:, 1] - top2[:, 0] > 2e-9
-    assert np.array_equal(pi[unique], pi_dense[unique])
-    assert np.all(q_dense.values[np.arange(n), pi] >= top2[:, 1] - 2e-9)
+    assert np.array_equal(pi[unique], np.argmax(q_ref, axis=1)[unique])
+    assert np.all(q_ref[np.arange(len(pi)), pi] >= top2[:, 1] - 2e-9)
 
 
 if st is not None:
@@ -138,6 +154,98 @@ else:
     @pytest.mark.parametrize("seed", range(EXAMPLES))
     def test_factored_model_matches_reference(seed):
         check_against_reference(*sample_config(RngDraw(seed)))
+
+
+def check_lumped(params: EnvParams, profile: WorkerProfile, dense: bool = True) -> None:
+    """The solve on the lumped chain against the full-state solve: the
+    expanded Q within 1e-12, the same greedy policy (up to ties), and a
+    Bellman residual on the full model within value iteration's bound.
+    With ``dense``, also the lumping itself: every full row, summed over the
+    states of each lumped state, is the lumped row of its own state."""
+    tolerance = 1e-9
+    full = FiniteMdp.from_env(params, profile)
+    lumped = full.lumped()
+    assert lumped.num_states == 36 * (sum(c.influences_worker for c in params.contexts) + 1)
+    assert lumped.expand(lumped.rewards).tobytes() == full.rewards.tobytes()
+    q_lumped = value_iteration(lumped, params.gamma, tolerance)
+    q = value_iteration(full, params.gamma, tolerance).values
+    expanded = lumped.expand(q_lumped.values)
+    assert expanded.shape == q.shape
+    assert np.max(np.abs(expanded - q)) <= 1e-12
+    assert_greedy_agrees(q, lumped.expand(greedy_policy(q_lumped)))
+    # three nested convex sums, as in the ten-machine test below
+    rounding = 128 * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(q))))
+    assert bellman_residual(QTable(expanded), full, params.gamma) <= params.gamma * tolerance + rounding
+    if dense:
+        p = lumped.transitions
+        assert np.all(p >= 0.0) and np.max(np.abs(p.sum(axis=2) - 1.0)) <= 1e-12
+        v = np.random.default_rng(lumped.num_states).normal(size=lumped.num_states)
+        ev = lumped.expect(v, np.empty(lumped.rewards.shape[::-1]))
+        assert np.max(np.abs(ev - p @ v)) <= 1e-12 * np.max(np.abs(v))
+        ids = lumped.expand(np.arange(lumped.num_states))
+        summed = full.transitions @ np.eye(lumped.num_states)[ids]
+        assert np.max(np.abs(summed - p[ids])) <= 1e-12
+
+
+if st is not None:
+
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_lumped_solve_matches_the_full_state_solve(data):
+        check_lumped(*sample_config(HypothesisDraw(data)))
+
+else:
+
+    @pytest.mark.parametrize("seed", range(EXAMPLES))
+    def test_lumped_solve_matches_the_full_state_solve(seed):
+        check_lumped(*sample_config(RngDraw(seed)))
+
+
+def test_lumped_solve_at_ten_machines():
+    params = EnvParams(contexts=tuple(ContextConfig(f"m{i}", i % 3 != 2) for i in range(10)), machine_degrade_p=0.2)
+    check_lumped(params, WorkerProfile(Pace.FAST), dense=False)
+
+
+def test_sixteen_machine_sweep_solves_on_the_lumped_chain(workshop_config, write_config, tmp_path, monkeypatch):
+    """At the most machines a config may name, ``sweep --agent vi`` never
+    reaches the full-state model: 2,359,296 states, whose full solve takes
+    minutes.  One rollout episode, as every rollout row is kept."""
+
+    def refuse(self, *args):
+        raise AssertionError("the sweep used the full-state model")
+
+    monkeypatch.setattr(FactoredModel, "expect", refuse)
+    monkeypatch.setattr(FactoredModel, "dense", refuse)
+    doc = json.loads(json.dumps(workshop_config))
+    doc["env"]["contexts"] = [{"id": f"machine{i}", "influences_worker": True} for i in range(16)]
+    doc["output_dir"], doc["run_id"] = str(tmp_path / "runs"), "k16"
+    argv = ["sweep", str(write_config(doc)), "--param", "env.noise_p", "--values", "0.1", "--agent", "vi"]
+    assert main(argv + ["--episodes", "1"]) == 0
+    with open(tmp_path / "runs" / "k16" / "sweep_env_noise_p.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["value"]) == 0.1 and 0.0 < float(row["match_rate"]) <= 1.0
+
+
+def worker_kernel_by_states(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
+    """The loop that ``_worker_kernel`` replaced: ``_worker_outcomes`` on a
+    ``WorkshopState`` per worker, with one influencing probe machine whose
+    condition is the flag."""
+    kernel = np.zeros((2, len(ACTIONS), len(WORKER_STATES), len(WORKER_STATES)))
+    for flag, condition in enumerate((MachineCondition.OK, MachineCondition.DEGRADED)):
+        probe = ContextElement("probe", condition, True)
+        for a, action in enumerate(ACTIONS):
+            for w, ws in enumerate(WORKER_STATES):
+                state = WorkshopState(ws, TeamState(Pressure.LOW), (probe,))
+                for nxt, p in _worker_outcomes(state, action, params, profile):
+                    kernel[flag, a, w, WORKER_INDEX[nxt]] = p
+    return kernel
+
+
+@pytest.mark.parametrize("noise_p", [0.0, 1e-200, 0.1, 1.0])
+@pytest.mark.parametrize("pace", PACES)
+def test_worker_kernel_matches_the_worker_outcomes_loop(pace, noise_p):
+    params, profile = EnvParams(noise_p=noise_p), WorkerProfile(pace)
+    assert _worker_kernel(params, profile).tobytes() == worker_kernel_by_states(params, profile).tobytes()
 
 
 #: Reward magnitudes for the row-reward test: a signed zero makes a sum

@@ -20,7 +20,6 @@ from cpssperso.rl_core import (
     FiniteMdp,
     InvalidToleranceError,
     QTable,
-    WorkshopMdp,
     bellman_residual,
     save_qtable,
     value_iteration,
@@ -223,10 +222,9 @@ def test_dense_mdps(name, gamma, tmp_path):
 @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
 def test_all_zero_rewards(zero, tmp_path):
     params = EnvParams(contexts=(ContextConfig("m0"), ContextConfig("m1", False)))
-    workshop = FiniteMdp.from_env(params, WorkerProfile())
-    kernels = reference_kernels(workshop.model)
-    zeros = np.full(workshop.rewards.shape, zero)
-    mdp = WorkshopMdp(workshop.model, zeros)
+    mdp = FiniteMdp.from_env(params, WorkerProfile())
+    kernels = reference_kernels(mdp.model)
+    mdp.rewards = np.full(mdp.rewards.shape, zero)
     check_solver(mdp, lambda v: reference_expect(mdp.model, v, kernels), 0.95, tmp_path)
     dense = dense_mdps()["random"]
     mdp = FiniteMdp(dense.transitions, np.full(dense.rewards.shape, zero))
