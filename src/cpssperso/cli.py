@@ -108,6 +108,14 @@ def _set_seed(doc: dict, seed: int) -> None:
     doc.setdefault("dqn", {})["seed"] = seed
 
 
+def _section(name: str, build, *args):
+    """``build(*args)``, a malformed ``name`` section raising ``ConfigError``."""
+    try:
+        return build(*args)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from exc
+
+
 def parse_experiment_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config document must be an object")
@@ -120,33 +128,18 @@ def parse_experiment_config(raw: dict, seed_override: int | None = None) -> Expe
     resolved = copy.deepcopy(raw)
     if seed_override is not None:
         _set_seed(resolved, seed_override)
-    try:
-        env_params, profile = env_params_from_config(resolved.get("env", {}))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad env section: {exc}") from exc
-    try:
-        schedule = _schedule_from_config(resolved.get("schedule", {}), env_params)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad schedule section: {exc}") from exc
-    try:
-        hp = dataclass_from_config(dqn_mod.DqnHyperparams, resolved.get("dqn", {}), "dqn")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad dqn section: {exc}") from exc
+    env_params, profile = _section("env", env_params_from_config, resolved.get("env", {}))
+    schedule = _section("schedule", _schedule_from_config, resolved.get("schedule", {}), env_params)
+    hp = _section("dqn", dataclass_from_config, dqn_mod.DqnHyperparams, resolved.get("dqn", {}), "dqn")
     need = dqn_mod.dqn_memory_bytes(hp, env_params)
     if need > dqn_mod.MAX_DQN_BYTES:
         raise ConfigError(
             f"bad dqn section: a run needs about {need >> 30} GiB, over the "
             f"{dqn_mod.MAX_DQN_BYTES >> 30} GiB budget"
         )
-    try:
-        detect_conflicts(objectives_from_config(resolved.get("objectives", [])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad objectives section: {exc}") from exc
+    _section("objectives", lambda: detect_conflicts(objectives_from_config(resolved.get("objectives", []))))
     if "roles" in resolved:
-        try:
-            scenario_from_dict(resolved["roles"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad roles section: {exc}") from exc
+        _section("roles", scenario_from_dict, resolved["roles"])
     try:
         output_dir = _cast(str, resolved.get("output_dir", "runs"), "output_dir")
         run_id = _cast(str, resolved.get("run_id", "run"), "run_id")
@@ -337,7 +330,10 @@ def _trained_on_observations(artifact: Path) -> bool:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if artifact.name not in manifest["artifact_files"]:
+        names = manifest["artifact_files"]  # `in` a string or an object would match a substring or a key
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise TypeError(f"artifact_files must be a list of names, got {names!r}")
+        if artifact.name not in names:
             return False
         partial_obs = manifest["partial_obs"]
     except (KeyError, TypeError, ValueError) as exc:

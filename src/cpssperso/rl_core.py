@@ -155,19 +155,19 @@ class LumpedMdp(FiniteMdp):
 
     @cached_property
     def _count_kernels(self) -> np.ndarray:
-        """The (A, m + 1, m + 1) count kernels.  Row ``c`` of an action's is
-        the distribution of the next count: the next bits of the ``c``
-        degraded machines convolved with those of the ``m - c`` ok ones,
-        under the action's machine kernel."""
+        """The (A, m + 1, m + 1) count kernels, one pass per action.  Row
+        ``c`` of an action's is the distribution of the next count: the next
+        bits of the ``c`` degraded machines convolved with those of the
+        ``m - c`` ok ones, under the action's ``model.machine_kernel``."""
         n = self.num_counts
-        out = np.empty((len(self.model.machine_outcomes), n, n))
-        for kernel, actions in self.model.kernel_groups:
+        out = np.empty((len(self.model.machine_kernel), n, n))
+        for a, kernel in enumerate(self.model.machine_kernel):
             # [bit][j]: the distribution of how many of j machines at bit go to 1
             pmfs: list[list[np.ndarray]] = [[np.ones(1)], [np.ones(1)]]
             for _ in range(n - 1):
                 for bit in (0, 1):
                     pmfs[bit].append(np.convolve(pmfs[bit][-1], kernel[bit]))
-            out[actions] = [np.convolve(pmfs[1][c], pmfs[0][n - 1 - c]) for c in range(n)]
+            out[a] = [np.convolve(pmfs[1][c], pmfs[0][n - 1 - c]) for c in range(n)]
         return out
 
     @cached_property

@@ -82,7 +82,6 @@ EMOTIONS = (Emotion.CALM, Emotion.STRESSED)
 LOADS = (CognitiveLoad.LOW, CognitiveLoad.MEDIUM, CognitiveLoad.HIGH)
 PACES = (Pace.SLOW, Pace.NORMAL, Pace.FAST)
 
-_EMO_IDX = {v: i for i, v in enumerate(EMOTIONS)}
 _LOAD_IDX = {v: i for i, v in enumerate(LOADS)}
 _PACE_IDX = {v: i for i, v in enumerate(PACES)}
 
@@ -632,9 +631,10 @@ class FactoredModel:
 
     The worker sees the machines only through the flag "any influencing
     machine degraded", so worker x pressure is one (36, 36) matrix per flag
-    and action, and every machine moves by the same outcomes per action.
+    and action, and every machine moves by one (2, 2) kernel per action.
     The tables come from ``_worker_outcomes`` (its rules, on worker indices:
-    ``_worker_kernel``), ``_pressure_outcomes`` and ``_machine_outcomes``.  Products are taken in ``transition_model``'s
+    ``_worker_kernel``), ``_pressure_outcomes`` and ``_machine_outcomes``
+    (``machine_kernel``).  Products are taken in ``transition_model``'s
     order, ``(p_worker * p_pressure) * ((m1 * m2) * ...)``, and zero outcomes
     are dropped, so rows and the dense matrix are bit-equal to it.  ``expect``
     takes expectations under the kernel without building that matrix.
@@ -645,16 +645,14 @@ class FactoredModel:
         self.influence_mask = _influence_mask(params)
         n_w, n_a = len(WORKER_STATES), len(ACTIONS)
         worker = _worker_kernel(params, profile)
-        #: [action][machine bit]: (next machine bit, probability) pairs, ascending
-        self.machine_outcomes: list[list[list[tuple[int, float]]]] = [[] for _ in ACTIONS]
-        # one probe machine: its condition is the current bit of the machine kernel
-        for condition in (MachineCondition.OK, MachineCondition.DEGRADED):
+        #: [action, machine bit, next machine bit]: the probability that
+        #: moves every machine, from one probe machine at each bit
+        self.machine_kernel = np.zeros((n_a, 2, 2))
+        for bit, condition in enumerate((MachineCondition.OK, MachineCondition.DEGRADED)):
             probe = ContextElement("probe", condition, True)
             for a, action in enumerate(ACTIONS):
-                self.machine_outcomes[a].append([
-                    (int(nxt is MachineCondition.DEGRADED), p)
-                    for nxt, p in _machine_outcomes(probe, action, params)
-                ])
+                for nxt, p in _machine_outcomes(probe, action, params):
+                    self.machine_kernel[a, bit, int(nxt is MachineCondition.DEGRADED)] = p
         # A machine with one outcome reaches it with probability 1.0, a factor
         # that changes no product, so the probabilities of a row depend only
         # on the action and on how many machines have two outcomes; under one
@@ -662,16 +660,16 @@ class FactoredModel:
         #: [action]: the current bit whose machines have two outcomes (-1 if
         #: none), and the next bit of a one-outcome machine at bit 0 and at bit 1
         self._moves: list[tuple[int, int, int]] = []
-        for outcomes in self.machine_outcomes:
-            two = [b for b, pairs in enumerate(outcomes) if len(pairs) == 2]
-            assert len(two) <= 1 and all(len(pairs) == 2 or pairs[0][1] == 1.0 for pairs in outcomes)
-            nxt = [pairs[0][0] if len(pairs) == 1 else 0 for pairs in outcomes]
+        for kernel in self.machine_kernel.tolist():
+            two = [b for b, row in enumerate(kernel) if row[0] and row[1]]
+            assert len(two) <= 1 and all(b in two or sorted(row) == [0.0, 1.0] for b, row in enumerate(kernel))
+            nxt = [0 if b in two else row.index(1.0) for b, row in enumerate(kernel)]
             self._moves.append((two[0] if two else -1, *nxt))
         #: (action, number of two-outcome machines) -> the row's machine
         #: probabilities, the first machine's outcome outermost
         self._folds: dict[tuple[int, int], np.ndarray] = {}
-        #: (flag, action, worker * 2 + pressure, fold length) -> what the rows
-        #: of that key share: see ``row``
+        #: (flag, action, worker * 2 + pressure, number of two-outcome
+        #: machines) -> what the rows of that key share: see ``row``
         self._parts: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray | None, array]] = {}
         pressure = np.zeros((2, 2))
         for i, level in enumerate((Pressure.LOW, Pressure.HIGH)):
@@ -683,27 +681,32 @@ class FactoredModel:
             2, n_a, 2 * n_w, 2 * n_w
         )
 
-    def _machines(self, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reachable next machine bits, ascending, and their probabilities.
-        The machines with two outcomes (the ``free`` bits) run over both;
-        every other machine takes its one outcome (the ``fixed`` bits).  The
-        arrays may be shared between calls: do not write to them."""
+    def _machines(self, a: int, bits: int) -> tuple[np.ndarray, int]:
+        """Reachable next machine bits, ascending (may be shared: do not write
+        to them), and the number ``n`` of machines with two outcomes (the
+        ``free`` bits), which run over both, with probabilities ``_fold(a, n)``;
+        every other machine takes its one outcome (the ``fixed`` bits)."""
         two, nxt_ok, nxt_degraded = self._moves[a]
         by_bit = (((1 << self.num_machines) - 1) & ~bits, bits)
         free = by_bit[two] if two >= 0 else 0
         fixed = (by_bit[0] if nxt_ok else 0) | (by_bit[1] if nxt_degraded else 0)
         n = free.bit_count()
+        if n == 0:
+            return np.array([fixed], dtype=np.int64), n
+        if n == self.num_machines:
+            return self._all_ids, n
+        return ((self._all_ids & ~free) == fixed).nonzero()[0], n
+
+    def _fold(self, a: int, n: int) -> np.ndarray:
+        """``n`` outer products by the two-outcome row of ``machine_kernel[a]``
+        (see ``_folds``), kept per (a, n): do not write to it."""
         probs = self._folds.get((a, n))
         if probs is None:
             probs = np.ones(1)
             for _ in range(n):
-                probs = np.multiply.outer(probs, [p for _, p in self.machine_outcomes[a][two]]).ravel()
+                probs = np.multiply.outer(probs, self.machine_kernel[a, self._moves[a][0]]).ravel()
             self._folds[a, n] = probs
-        if n == 0:
-            return np.array([fixed], dtype=np.int64), probs
-        if n == self.num_machines:
-            return self._all_ids, probs
-        return ((self._all_ids & ~free) == fixed).nonzero()[0], probs
+        return probs
 
     @functools.cached_property
     def _all_ids(self) -> np.ndarray:
@@ -721,11 +724,11 @@ class FactoredModel:
         k = self.num_machines
         bits = s & ((1 << k) - 1)
         flag = int((bits & self.influence_mask) != 0)
-        m_ids, m_probs = self._machines(a, bits)
-        key = (flag, a, s >> k, len(m_probs))
+        m_ids, n = self._machines(a, bits)
+        key = (flag, a, s >> k, n)
         part = self._parts.get(key)
         if part is None:
-            part = self._parts[key] = self._part(self.worker_team[flag, a, s >> k], m_probs)
+            part = self._parts[key] = self._part(self.worker_team[flag, a, s >> k], self._fold(a, n))
         high, keep, cum = part
         ids = (high[:, None] | m_ids).ravel()
         return (ids if keep is None else ids[keep]), cum
@@ -756,9 +759,9 @@ class FactoredModel:
         m_row = np.empty(n_m)
         for a in range(n_a):
             for bits in range(n_m):
-                m_ids, m_probs = self._machines(a, bits)
+                m_ids, n = self._machines(a, bits)
                 m_row.fill(0.0)
-                m_row[m_ids] = m_probs
+                m_row[m_ids] = self._fold(a, n)
                 flag = int((bits & self.influence_mask) != 0)
                 np.multiply(self.worker_team[flag, a][:, :, None], m_row, out=blocks[:, bits, a])
         return p
@@ -802,32 +805,18 @@ class FactoredModel:
         return out.T
 
     @functools.cached_property
-    def kernel_groups(self) -> list[tuple[np.ndarray, list[int]]]:
-        """Each distinct machine kernel, a (2, 2) array over the machine's
-        bit and its next bit, with the ascending actions that move every
-        machine by it: assist, which repairs, and the four others."""
-        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for a, outcomes in enumerate(self.machine_outcomes):
-            kernel = np.zeros((2, 2))
-            for bit, pairs in enumerate(outcomes):
-                for nxt, p in pairs:
-                    kernel[bit, nxt] = p
-            groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
-        return list(groups.values())
-
-    @functools.cached_property
     def _machine_kernels(self) -> tuple[slice | np.ndarray, list[tuple]]:
         """What ``expect`` needs of the model, built once.  Every machine-bit
         column takes the worker x pressure kernel of the commoner flag
         (``major``), then the ``minor`` columns, of the other flag, are done
         again with their own.  Returns ``minor``, a slice when those columns
         are one run (with every machine influencing, the all-ok column 0),
-        and, for each distinct (bit, next bit) machine kernel: Kronecker
-        powers of it that together cover the machine bits, ``_KRON_BITS``
-        bits at most each, and one (actions, major kernels, minor kernels)
-        triple per run of consecutive actions that share it, the actions a
-        slice.  The four actions other than assist make the runs ``0:3`` and
-        ``4:5``."""
+        and, for each distinct (2, 2) kernel of ``machine_kernel`` (one for
+        assist, which repairs, one for the four others): Kronecker powers of
+        it that together cover the machine bits, ``_KRON_BITS`` bits at most
+        each, and one (actions, major kernels, minor kernels) triple per run
+        of consecutive actions that share it, the actions a slice.  The four
+        actions other than assist make the runs ``0:3`` and ``4:5``."""
         full, rest = divmod(self.num_machines, _KRON_BITS)
         chunks = [_KRON_BITS] * full + ([rest] if rest else [])
         n_m = 1 << self.num_machines
@@ -836,8 +825,11 @@ class FactoredModel:
         minor = np.flatnonzero(flags != major)
         if minor.size and minor[-1] - minor[0] + 1 == minor.size:
             minor = slice(int(minor[0]), int(minor[-1]) + 1)
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for a, kernel in enumerate(self.machine_kernel):
+            groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
         kernels = []
-        for kernel, actions in self.kernel_groups:
+        for kernel, actions in groups.values():
             powers = [functools.reduce(np.kron, [kernel] * g) for g in chunks]
             runs = [(run, self.worker_team[major, run], self.worker_team[1 - major, run]) for run in _runs(actions)]
             kernels.append((powers, runs))
@@ -1057,7 +1049,6 @@ class WorkshopEnv:
         self._model = FactoredModel(params, self.profile)
         #: s * num_actions + a -> the row of (s, a), see ``_row``
         self._rows: dict[int, tuple[array, array, float]] = {}
-        self._decoded: dict[int, WorkshopState] = {}
 
     @property
     def num_states(self) -> int:
@@ -1111,13 +1102,13 @@ class WorkshopEnv:
     def reset(self, seed: int | None = None) -> tuple[WorkshopState, WorkshopState]:
         """Start an episode; returns the initial state and its observation."""
         s, obs = self.reset_id(seed)
-        return self._decode_cached(s), self._decode_cached(obs)
+        return decode_state(s, self.params), decode_state(obs, self.params)
 
     def observe(self, state: WorkshopState) -> WorkshopState:
         """Sample the inference channel for ``state`` (consumes the stream):
         ``state`` when the worker is read correctly, otherwise ``state``
         with a misread worker."""
-        return self._decode_cached(self._observe_id(encode_state(state)))
+        return decode_state(self._observe_id(encode_state(state)), self.params)
 
     def step(
         self, action: Action
@@ -1126,15 +1117,8 @@ class WorkshopEnv:
         reward with its terms and whether the horizon is reached."""
         s = self._s
         nxt, obs, _, done = self.step_id(ACTION_INDEX[action])
-        reward = reward_fn(self._decode_cached(s), action, self.params, self.profile)
-        return self._decode_cached(nxt), self._decode_cached(obs), reward, done
-
-    def _decode_cached(self, index: int) -> WorkshopState:
-        st = self._decoded.get(index)
-        if st is None:
-            st = decode_state(index, self.params)
-            self._decoded[index] = st
-        return st
+        reward = reward_fn(decode_state(s, self.params), action, self.params, self.profile)
+        return decode_state(nxt, self.params), decode_state(obs, self.params), reward, done
 
     def _row(self, s: int, a: int) -> tuple[array, array, float]:
         """Build, cache and return the row of (s, a), for an action index in

@@ -648,13 +648,27 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "manifest",
-        ["{", "[]", '{"artifact_files": ["qtable.bin"]}', '{"artifact_files": ["qtable.bin"], "partial_obs": 1}'],
-        ids=["truncated", "not-an-object", "no-partial-obs", "not-a-bool"],
+        [
+            "{",
+            "[]",
+            '{"artifact_files": ["qtable.bin"]}',
+            '{"artifact_files": ["qtable.bin"], "partial_obs": 1}',
+            # a string or an object that "contains" the name, and a list
+            # whose other entry is not a name
+            '{"artifact_files": "old-qtable.bin.bak", "partial_obs": true}',
+            '{"artifact_files": {"qtable.bin": 1}, "partial_obs": true}',
+            '{"artifact_files": ["qtable.bin", 1], "partial_obs": true}',
+        ],
+        ids=[
+            "truncated", "not-an-object", "no-partial-obs", "not-a-bool",
+            "files-a-string", "files-an-object", "files-not-all-names",
+        ],
     )
-    def test_bad_manifest_exits_2(self, quick_config, write_config, manifest):
+    def test_bad_manifest_exits_2(self, quick_config, write_config, manifest, capsys):
         cfg, run_dir = self._trained_run(quick_config, write_config)
         (run_dir / "run.json").write_text(manifest)
         assert main(["evaluate", str(run_dir / "qtable.bin"), str(cfg), "--episodes", "2"]) == 2
+        assert "run.json: " in capsys.readouterr().err
         assert not (run_dir / "qtable_eval.json").exists()
 
     def test_manifest_of_another_artifact_is_not_read(self, quick_config, write_config, capsys):

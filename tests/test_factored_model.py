@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cpssperso import workshop_env
 from cpssperso.cli import main
 from cpssperso.rl_core import FiniteMdp, QTable, bellman_residual, greedy_policy, value_iteration
 from cpssperso.workshop_env import (
@@ -33,6 +34,7 @@ from cpssperso.workshop_env import (
     WorkerProfile,
     WorkshopEnv,
     WorkshopState,
+    _machine_outcomes,
     _worker_kernel,
     _worker_outcomes,
     decode_state,
@@ -254,22 +256,27 @@ MAGNITUDES = (-0.0, 0.0, 1.0, -2.5, 0.1, 1e-300)
 
 
 @pytest.mark.parametrize("seed", range(EXAMPLES))
-def test_row_rewards_are_reward_fn_bit_for_bit(seed):
+def test_row_rewards_are_reward_fn_bit_for_bit(seed, monkeypatch):
     """A row takes its reward from the id's factors, never from a decoded
     state: on the sampled configs, with sampled reward magnitudes, every
     (s, a) row's reward is ``reward_fn(...).total`` bit for bit, and the
-    row builds decode nothing."""
+    row builds decode nothing (``workshop_env.decode_state`` fails while
+    they run)."""
     draw = RngDraw(seed)
     params, profile = sample_config(draw)
     params = replace(params, rewards=RewardMagnitudes(*(draw.choice(MAGNITUDES) for _ in range(5))))
     env = WorkshopEnv(params, profile)
-    for s in range(num_states(params)):
-        state = decode_state(s, params)
+    states = [decode_state(s, params) for s in range(num_states(params))]
+
+    def no_decode(*args):
+        raise AssertionError("a row build decoded a state")
+
+    monkeypatch.setattr(workshop_env, "decode_state", no_decode)
+    for s, state in enumerate(states):
         for a, action in enumerate(ACTIONS):
             want = reward_fn(state, action, params, profile).total
             got = env._row(s, a)[2]
             assert type(got) is float and got.hex() == want.hex(), (s, a)
-    assert not env._decoded
 
 
 @pytest.mark.parametrize("prob", [0.0, 1.0], ids=["zero", "one"])
@@ -315,20 +322,48 @@ def test_expect_matches_rows_beyond_one_kronecker_chunk(k):
     ev = model.expect(v, np.empty((len(ACTIONS), num_states(params))))
     for s in rng.choice(num_states(params), size=40, replace=False):
         for a in range(len(ACTIONS)):
-            ids, probs = row_by_list_product(model, int(s), a)
+            ids, probs = row_by_list_product(model, params, int(s), a)
             assert abs(ev[s, a] - probs @ v[ids]) <= 1e-12 * np.max(np.abs(v)), (s, a)
             got_ids, cum = model.row(int(s), a)
             assert got_ids.tobytes() == ids.tobytes(), (s, a)
             assert bytes(cum) == np.cumsum(probs).tobytes(), (s, a)
 
 
-def machines_by_list_product(model: FactoredModel, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+def machine_pairs(params: EnvParams) -> list[list[list[tuple[int, float]]]]:
+    """[action][machine bit]: the (next bit, probability) pairs of
+    ``_machine_outcomes`` on one probe machine at that bit."""
+    return [
+        [
+            [
+                (int(nxt is MachineCondition.DEGRADED), p)
+                for nxt, p in _machine_outcomes(ContextElement("probe", condition, True), action, params)
+            ]
+            for condition in (MachineCondition.OK, MachineCondition.DEGRADED)
+        ]
+        for action in ACTIONS
+    ]
+
+
+@pytest.mark.parametrize("degrade_p", EDGE_PROBS)
+def test_machine_kernel_is_the_machine_outcomes_of_a_probe(degrade_p):
+    """Every action's (2, 2) machine kernel holds, at each current bit,
+    exactly the outcomes of ``_machine_outcomes`` on a probe machine, and
+    zero elsewhere."""
+    params = EnvParams(machine_degrade_p=degrade_p)
+    kernel = FactoredModel(params, WorkerProfile()).machine_kernel
+    assert kernel.shape == (len(ACTIONS), 2, 2) and kernel.dtype == np.float64
+    got = [[[(j, p) for j, p in enumerate(row) if p != 0.0] for row in rows] for rows in kernel.tolist()]
+    assert got == machine_pairs(params)
+
+
+def machines_by_list_product(params: EnvParams, a: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The enumeration ``FactoredModel._machines`` replaced: every machine's
     outcomes in turn, the first machine outermost, as lists of (bits,
     probability) pairs."""
+    pairs = machine_pairs(params)[a]
     combos = [(0, 1.0)]
-    for shift in range(model.num_machines - 1, -1, -1):
-        outcomes = model.machine_outcomes[a][(bits >> shift) & 1]
+    for shift in range(len(params.contexts) - 1, -1, -1):
+        outcomes = pairs[(bits >> shift) & 1]
         combos = [(i * 2 + j, p * q) for i, p in combos for j, q in outcomes]
     return (
         np.array([i for i, _ in combos], dtype=np.int64),
@@ -336,14 +371,14 @@ def machines_by_list_product(model: FactoredModel, a: int, bits: int) -> tuple[n
     )
 
 
-def row_by_list_product(model: FactoredModel, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+def row_by_list_product(model: FactoredModel, params: EnvParams, s: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     """Next-state ids and probabilities of (s, a) as lists: each nonzero
     worker x pressure outcome times each entry of ``machines_by_list_product``,
     in ``transition_model``'s product order, zero products dropped."""
     k = model.num_machines
     bits = s & ((1 << k) - 1)
     wt = model.worker_team[int((bits & model.influence_mask) != 0), a, s >> k]
-    m_ids, m_probs = machines_by_list_product(model, a, bits)
+    m_ids, m_probs = machines_by_list_product(params, a, bits)
     row = [
         ((int(w) << k) | int(m), float(wt[w]) * float(p))
         for w in np.flatnonzero(wt)
@@ -362,12 +397,14 @@ def test_machines_match_the_list_product_at_scale(k):
     contexts = tuple(ContextConfig(f"m{i}", i % 4 != 3) for i in range(k))
     all_bits = (1 << k) - 1
     for degrade_p in EDGE_PROBS:
-        model = FactoredModel(EnvParams(contexts=contexts, machine_degrade_p=degrade_p), WorkerProfile())
+        params = EnvParams(contexts=contexts, machine_degrade_p=degrade_p)
+        model = FactoredModel(params, WorkerProfile())
         patterns = [0, all_bits, 1, all_bits - 1] + [int(b) for b in rng.integers(1 << k, size=6)]
         for bits in patterns:
             for a in range(len(ACTIONS)):
-                ids_ref, probs_ref = machines_by_list_product(model, a, bits)
-                ids, probs = model._machines(a, bits)
+                ids_ref, probs_ref = machines_by_list_product(params, a, bits)
+                ids, n = model._machines(a, bits)
+                probs = model._fold(a, n)
                 assert ids.dtype == ids_ref.dtype and probs.dtype == probs_ref.dtype
                 assert ids.tobytes() == ids_ref.tobytes(), (degrade_p, a, bits)
                 assert probs.tobytes() == probs_ref.tobytes(), (degrade_p, a, bits)
@@ -407,7 +444,8 @@ def test_rows_drop_machine_products_that_underflow():
     exact zeros, and rows drop them as ``transition_model`` does."""
     contexts = (ContextConfig("m0"), ContextConfig("m1", False), ContextConfig("m2"))
     params = EnvParams(contexts=contexts, machine_degrade_p=1e-200)
-    _, fold = FactoredModel(params, WorkerProfile())._machines(0, 0)
+    model = FactoredModel(params, WorkerProfile())
+    fold = model._fold(0, model._machines(0, 0)[1])
     assert len(fold) == 8 and np.count_nonzero(fold == 0.0) == 4
     check_against_reference(params, WorkerProfile())
 

@@ -33,7 +33,7 @@ from cpssperso.workshop_env import (
     WorkerProfile,
     num_states,
 )
-from test_factored_model import EXAMPLES, HypothesisDraw, RngDraw, sample_config, st
+from test_factored_model import EXAMPLES, HypothesisDraw, RngDraw, machine_pairs, sample_config, st
 
 
 def reference_value_iteration(rewards, expect, gamma, tolerance):
@@ -63,16 +63,17 @@ def reference_residual(q, rewards, expect, gamma):
     return float(np.max(np.abs(q - backup)))
 
 
-def reference_kernels(model: FactoredModel):
-    """The (actions, Kronecker powers) groups, as ``expect`` built them."""
+def reference_kernels(params: EnvParams):
+    """The (actions, Kronecker powers) groups, as ``expect`` built them, from
+    the outcomes of ``_machine_outcomes`` on a probe machine."""
     groups = {}
-    for a, outcomes in enumerate(model.machine_outcomes):
+    for a, outcomes in enumerate(machine_pairs(params)):
         kernel = np.zeros((2, 2))
         for bit, pairs in enumerate(outcomes):
             for nxt, p in pairs:
                 kernel[bit, nxt] = p
         groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
-    full, rest = divmod(model.num_machines, _KRON_BITS)
+    full, rest = divmod(len(params.contexts), _KRON_BITS)
     chunks = [_KRON_BITS] * full + ([rest] if rest else [])
     return [
         (np.array(actions), [functools.reduce(np.kron, [kernel] * g) for g in chunks])
@@ -118,7 +119,7 @@ def check_solver(mdp: FiniteMdp, expect, gamma: float, tmp_path, tolerance: floa
 def check_workshop(params: EnvParams, profile: WorkerProfile, tmp_path, gammas=None) -> None:
     mdp = FiniteMdp.from_env(params, profile)
     assert mdp.rewards.T.flags.c_contiguous  # the sweeps add them action-major
-    kernels = reference_kernels(mdp.model)
+    kernels = reference_kernels(mdp.params)
     v = np.random.default_rng(num_states(params)).normal(size=num_states(params))
     out = np.full(mdp.rewards.shape[::-1], np.nan)
     ev = mdp.expect(v, out)
@@ -223,7 +224,7 @@ def test_dense_mdps(name, gamma, tmp_path):
 def test_all_zero_rewards(zero, tmp_path):
     params = EnvParams(contexts=(ContextConfig("m0"), ContextConfig("m1", False)))
     mdp = FiniteMdp.from_env(params, WorkerProfile())
-    kernels = reference_kernels(mdp.model)
+    kernels = reference_kernels(mdp.params)
     mdp.rewards = np.full(mdp.rewards.shape, zero)
     check_solver(mdp, lambda v: reference_expect(mdp.model, v, kernels), 0.95, tmp_path)
     dense = dense_mdps()["random"]
