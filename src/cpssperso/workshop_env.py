@@ -174,7 +174,7 @@ class EnvParams:
 
     ``weights.w_worker`` must be strictly greater than both other weights:
     the worker term is the prioritised one.  At most ``MAX_MACHINES``
-    context elements.
+    context elements.  Twice the return bound must be finite.
     """
 
     gamma: float = 0.95
@@ -215,6 +215,12 @@ class EnvParams:
             raise InvalidParamsError(f"at most {MAX_MACHINES} machines, got {len(ids)}")
         if len(set(ids)) != len(ids):
             raise InvalidParamsError(f"context ids must be unique: {ids}")
+        r = self.rewards
+        step = w.w_worker * max(abs(r.worker_match), abs(r.worker_mismatch))
+        step += w.w_team * max(abs(r.team_ok), abs(r.team_bad))
+        step += sum(c.influences_worker for c in self.contexts) * w.w_context * abs(r.context_unsafe)
+        if not math.isfinite(2.0 * step / (1.0 - self.gamma)):
+            raise InvalidParamsError(f"rewards too large: 2 * {step:g} / (1 - gamma) is not finite")
 
 
 def num_states(params: EnvParams) -> int:
@@ -636,8 +642,8 @@ class FactoredModel:
     ``_worker_kernel``), ``_pressure_outcomes`` and ``_machine_outcomes``
     (``machine_kernel``).  Products are taken in ``transition_model``'s
     order, ``(p_worker * p_pressure) * ((m1 * m2) * ...)``, and zero outcomes
-    are dropped, so rows and the dense matrix are bit-equal to it.  ``expect``
-    takes expectations under the kernel without building that matrix.
+    are dropped, so rows and the dense matrix are bit-equal to it.  ``expect``,
+    the full-state oracle's operator, takes expectations without that matrix.
     """
 
     def __init__(self, params: EnvParams, profile: WorkerProfile):
@@ -768,83 +774,52 @@ class FactoredModel:
 
     def expect(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``dense() @ v`` as an (S, A) array, without building the dense
-        matrix: each action's machine kernel is applied to ``v`` over the
-        machine bits, then its worker x pressure kernel over the worker and
-        pressure, with the kernel of each machine-bit column's flag.  The
-        sums run in another order than the matrix product's, so the two
-        agree to rounding, not bit for bit.  The result is written into
-        ``out``, a C-contiguous (A, S) float64 array, and is returned as its
-        (S, A) view.  Each worker x pressure product is written straight
-        into ``out``'s block of its run of actions, so a call allocates no
-        array of ``out``'s size: the machine-kernel passes hold at most
-        three arrays of one action's size."""
+        matrix: each distinct machine kernel goes over the machine bits of
+        ``v`` once, then each of its actions' worker x pressure kernels, of
+        each machine-bit column's flag.  The sums run in another order than
+        the matrix product's, so the two agree to rounding, not bit for bit.
+        Written into ``out``, a C-contiguous (A, S) float64 array, one
+        product per action into its block, the ``minor`` columns gathered
+        and scattered back, so no array of ``out``'s size is allocated;
+        returns ``out``'s (S, A) view."""
         _, n_a, n_wt, _ = self.worker_team.shape
         n_m = 1 << self.num_machines
-        minor, groups = self._machine_kernels
+        major, minor, groups = self._machine_kernels
         if out.shape != (n_a, n_wt * n_m) or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous float64 array of shape {(n_a, n_wt * n_m)}")
         blocks = out.reshape(n_a, n_wt, n_m)
-        for powers, runs in groups:
+        for actions, powers in groups:
             u = v.reshape(n_wt, n_m)
-            if len(powers) == 1:  # all the bits at once: no reordering to undo
-                u = u @ powers[0].T
-            else:
-                for power in powers:
-                    # sum over the lowest bits, then move them to the front so
-                    # that the next ones are lowest; after the last, the order is back
-                    n = len(power)
-                    u = (u.reshape(-1, n) @ power.T).reshape(n_wt, -1, n).transpose(0, 2, 1)
-                u = u.reshape(n_wt, n_m)
-            for run, wt_major, wt_minor in runs:
-                block = blocks[run]
-                np.matmul(wt_major, u, out=block)
-                if isinstance(minor, slice):
-                    np.matmul(wt_minor, u[:, minor], out=block[:, :, minor])
-                elif minor.size:
-                    block[:, :, minor] = wt_minor @ u[:, minor]
+            for power in powers:
+                # sum over the lowest bits, then move them to the front so
+                # that the next ones are lowest; after the last, the order is back
+                n = len(power)
+                u = (u.reshape(-1, n) @ power.T).reshape(n_wt, -1, n).transpose(0, 2, 1)
+            u = u.reshape(n_wt, n_m)
+            for a in actions:
+                np.matmul(self.worker_team[major, a], u, out=blocks[a])
+                if minor.size:
+                    blocks[a][:, minor] = self.worker_team[1 - major, a] @ u[:, minor]
         return out.T
 
     @functools.cached_property
-    def _machine_kernels(self) -> tuple[slice | np.ndarray, list[tuple]]:
-        """What ``expect`` needs of the model, built once.  Every machine-bit
-        column takes the worker x pressure kernel of the commoner flag
-        (``major``), then the ``minor`` columns, of the other flag, are done
-        again with their own.  Returns ``minor``, a slice when those columns
-        are one run (with every machine influencing, the all-ok column 0),
-        and, for each distinct (2, 2) kernel of ``machine_kernel`` (one for
-        assist, which repairs, one for the four others): Kronecker powers of
-        it that together cover the machine bits, ``_KRON_BITS`` bits at most
-        each, and one (actions, major kernels, minor kernels) triple per run
-        of consecutive actions that share it, the actions a slice.  The four
-        actions other than assist make the runs ``0:3`` and ``4:5``."""
+    def _machine_kernels(self) -> tuple[int, np.ndarray, list[tuple[list[int], list[np.ndarray]]]]:
+        """What ``expect`` needs, built once: the commoner flag ``major``,
+        whose worker x pressure kernel every machine-bit column takes, the
+        ``minor`` columns of the other flag, and, per distinct (2, 2) kernel
+        of ``machine_kernel``, its actions and its Kronecker powers, of
+        ``_KRON_BITS`` bits at most each, that together cover the bits."""
         full, rest = divmod(self.num_machines, _KRON_BITS)
         chunks = [_KRON_BITS] * full + ([rest] if rest else [])
         n_m = 1 << self.num_machines
         flags = (np.arange(n_m) & self.influence_mask) != 0
         major = int(2 * np.count_nonzero(flags) > n_m)
-        minor = np.flatnonzero(flags != major)
-        if minor.size and minor[-1] - minor[0] + 1 == minor.size:
-            minor = slice(int(minor[0]), int(minor[-1]) + 1)
         groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for a, kernel in enumerate(self.machine_kernel):
             groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(a)
-        kernels = []
-        for kernel, actions in groups.values():
-            powers = [functools.reduce(np.kron, [kernel] * g) for g in chunks]
-            runs = [(run, self.worker_team[major, run], self.worker_team[1 - major, run]) for run in _runs(actions)]
-            kernels.append((powers, runs))
-        return minor, kernels
-
-
-def _runs(ids: list[int]) -> list[slice]:
-    """Ascending ``ids`` as slices of consecutive values."""
-    runs: list[slice] = []
-    for i in ids:
-        if runs and runs[-1].stop == i:
-            runs[-1] = slice(runs[-1].start, i + 1)
-        else:
-            runs.append(slice(i, i + 1))
-    return runs
+        return major, np.flatnonzero(flags != major), [
+            (actions, [functools.reduce(np.kron, [kernel] * g) for g in chunks]) for kernel, actions in groups.values()
+        ]
 
 
 def _influence_mask(params: EnvParams) -> int:

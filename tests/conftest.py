@@ -12,6 +12,7 @@ from cpssperso.meta_model import (
     SystemNode,
     full_component,
 )
+from cpssperso.workshop_env import FactoredModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = REPO_ROOT / "configs"
@@ -67,3 +68,15 @@ def write_config(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def no_full_state_solver(monkeypatch):
+    """``FactoredModel.expect`` and ``FactoredModel.dense``, the full-state
+    solver, raise while the test runs."""
+
+    def refuse(self, *args):
+        raise AssertionError("the full-state solver was used")
+
+    monkeypatch.setattr(FactoredModel, "expect", refuse)
+    monkeypatch.setattr(FactoredModel, "dense", refuse)

@@ -457,17 +457,31 @@ class TestTrain:
             lambda doc: doc["env"].setdefault("rewards", {}).update(worker_match=float("inf")),
             lambda doc: doc["env"].setdefault("rewards", {}).update(context_unsafe=float("-inf")),
             lambda doc: doc["dqn"].update(lr=float("nan")),
+            # finite rewards whose return bound, doubled, overflows
+            lambda doc: doc["env"].update(
+                contexts=[{"id": f"machine{i}", "influences_worker": True} for i in range(3)],
+                rewards={"context_unsafe": -1.7e308},
+            ),
+            lambda doc: (
+                doc["env"].update(rewards={"worker_match": 1e307, "worker_mismatch": -1e307}),
+                doc["schedule"].update(initial_q=0),
+            ),
         ],
-        ids=["weight-nan", "reward-infinity", "reward-minus-infinity", "dqn-lr-nan"],
+        ids=[
+            "weight-nan", "reward-infinity", "reward-minus-infinity", "dqn-lr-nan",
+            "context-reward-overflow", "worker-reward-overflow",
+        ],
     )
     def test_non_finite_float_exits_2(self, quick_config, write_config, capsys, edit):
         # json writes these as NaN and Infinity, which json.load reads back
         edit(quick_config)
-        path = write_config(quick_config)
-        assert main(["train", str(path), "--agent", "tabular"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: bad") and "finite" in err[0]
-        assert not (Path(quick_config["output_dir"]) / "quick").exists()
+        path = str(write_config(quick_config))
+        sweep = ["sweep", path, "--param", "env.noise_p", "--values", "0.1", "--agent", "vi"]
+        for argv in (["train", path, "--agent", "tabular"], ["train", path, "--agent", "dqn"], sweep):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: bad") and "finite" in err[0]
+            assert not (Path(quick_config["output_dir"]) / "quick").exists()
 
     def test_divergence_exits_2_naming_the_step(self, quick_config, write_config, capsys):
         quick_config["dqn"].update(lr=1e6, total_steps=2000)
@@ -907,6 +921,40 @@ class TestOutputsLandWhole:
         monkeypatch.setattr(os, "replace", self.fail)
         assert main(["evaluate", str(run_dir / "qtable.bin"), str(path), "--episodes", "2"]) == 3
         assert sorted(p.name for p in run_dir.iterdir()) == before
+
+
+class TestNoFullStateSolve:
+    """No command reaches the full-state solver (``no_full_state_solver``):
+    training and evaluation step through transition rows, and ``sweep
+    --agent vi`` solves the lumped chain."""
+
+    @pytest.mark.parametrize(
+        "commands, outputs",
+        [
+            (
+                [["train", "CONFIG", "--agent", "tabular"], ["evaluate", "RUN/qtable.bin", "CONFIG", "--episodes", "2"]],
+                ["metrics.csv", "qtable.bin", "qtable_eval.json", "run.json"],
+            ),
+            (
+                [["train", "CONFIG", "--agent", "dqn"], ["evaluate", "RUN/network.bin", "CONFIG", "--episodes", "2"]],
+                ["metrics.csv", "network.bin", "network_eval.json", "run.json"],
+            ),
+            (
+                [["sweep", "CONFIG", "--param", "env.noise_p", "--values", "0.1", "--agent", "vi", "--episodes", "2"]],
+                ["sweep_env_noise_p.csv"],
+            ),
+        ],
+        ids=["tabular", "dqn", "sweep"],
+    )
+    @pytest.mark.usefixtures("no_full_state_solver")
+    def test_on_three_machines(self, quick_config, write_config, commands, outputs):
+        three_machines(quick_config)
+        quick_config["dqn"]["total_steps"] = 64
+        path = write_config(quick_config)
+        run_dir = Path(quick_config["output_dir"]) / "quick"
+        for argv in commands:
+            assert main([str(path) if a == "CONFIG" else a.replace("RUN", str(run_dir)) for a in argv]) == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == outputs
 
 
 class TestEmitPlotData:

@@ -208,16 +208,12 @@ def test_lumped_solve_at_ten_machines():
     check_lumped(params, WorkerProfile(Pace.FAST), dense=False)
 
 
-def test_sixteen_machine_sweep_solves_on_the_lumped_chain(workshop_config, write_config, tmp_path, monkeypatch):
+@pytest.mark.usefixtures("no_full_state_solver")
+def test_sixteen_machine_sweep_solves_on_the_lumped_chain(workshop_config, write_config, tmp_path):
     """At the most machines a config may name, ``sweep --agent vi`` never
     reaches the full-state model: 2,359,296 states, whose full solve takes
-    minutes.  One rollout episode, as every rollout row is kept."""
-
-    def refuse(self, *args):
-        raise AssertionError("the sweep used the full-state model")
-
-    monkeypatch.setattr(FactoredModel, "expect", refuse)
-    monkeypatch.setattr(FactoredModel, "dense", refuse)
+    minutes.  One rollout episode, as every rollout row is kept.  The other
+    commands are checked on three machines in ``test_cli``."""
     doc = json.loads(json.dumps(workshop_config))
     doc["env"]["contexts"] = [{"id": f"machine{i}", "influences_worker": True} for i in range(16)]
     doc["output_dir"], doc["run_id"] = str(tmp_path / "runs"), "k16"

@@ -128,6 +128,14 @@ def check_workshop(params: EnvParams, profile: WorkerProfile, tmp_path, gammas=N
         check_solver(mdp, lambda v: reference_expect(mdp.model, v, kernels), gamma, tmp_path)
 
 
+def check_lumped(params: EnvParams, profile: WorkerProfile, tmp_path) -> None:
+    """The production solve, on the lumped chain, against the state-major
+    solver through ``LumpedMdp.expect``, at gamma 0, 0.5 and the config's."""
+    lumped = FiniteMdp.from_env(params, profile).lumped()
+    for gamma in (0.0, 0.5, params.gamma):
+        check_solver(lumped, lambda v: lumped.expect(v, np.empty(lumped.rewards.shape[::-1])), gamma, tmp_path)
+
+
 if st is not None:
     from hypothesis import given, settings
 
@@ -137,11 +145,28 @@ if st is not None:
         tmp_path = tmp_path_factory.mktemp("q")
         check_workshop(*sample_config(HypothesisDraw(data)), tmp_path)
 
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_sampled_lumped_chains_match_the_state_major_solver(tmp_path_factory, data):
+        tmp_path = tmp_path_factory.mktemp("q")
+        check_lumped(*sample_config(HypothesisDraw(data)), tmp_path)
+
 else:
 
     @pytest.mark.parametrize("seed", range(EXAMPLES))
     def test_sampled_configs_match_the_state_major_solver(seed, tmp_path):
         check_workshop(*sample_config(RngDraw(seed)), tmp_path)
+
+    @pytest.mark.parametrize("seed", range(EXAMPLES))
+    def test_sampled_lumped_chains_match_the_state_major_solver(seed, tmp_path):
+        check_lumped(*sample_config(RngDraw(seed)), tmp_path)
+
+
+def test_sixteen_machine_lumped_chain_matches_the_state_major_solver(tmp_path):
+    """The most machines a config may name, 12 of them influencing: 36 * 13
+    lumped states in place of 36 * 2^16."""
+    params = EnvParams(contexts=tuple(ContextConfig(f"m{i}", i % 4 != 1) for i in range(16)), machine_degrade_p=0.2)
+    check_lumped(params, WorkerProfile(Pace.SLOW), tmp_path)
 
 
 def test_one_full_kronecker_chunk(tmp_path):
@@ -185,13 +210,24 @@ def test_expect_allocates_no_array_of_its_output_size(influences):
     assert peak < 0.7 * out.nbytes
 
 
+BAD_OUTS = {
+    "state-major": np.empty((36, 5)),
+    "float32": np.empty((5, 36), dtype=np.float32),
+    "fortran": np.empty((36, 5)).T,
+    "strided": np.empty((5, 72))[:, ::2],
+}
+
+
 @pytest.mark.parametrize(
-    "out",
-    [np.empty((36, 5)), np.empty((5, 36), dtype=np.float32), np.empty((36, 5)).T, np.empty((5, 72))[:, ::2]],
-    ids=["state-major", "float32", "fortran", "strided"],
+    "lumped, out",
+    [(False, out) for out in BAD_OUTS.values()] + [(True, out) for out in BAD_OUTS.values()],
+    ids=list(BAD_OUTS) + [f"lumped-{name}" for name in BAD_OUTS],
 )
-def test_expect_rejects_an_out_it_cannot_write_in_place(out):
-    model = FactoredModel(EnvParams(contexts=()), WorkerProfile())
+def test_expect_rejects_an_out_it_cannot_write_in_place(lumped, out):
+    """``FactoredModel.expect`` and ``LumpedMdp.expect``: with no machine,
+    both act on 36 states."""
+    mdp = FiniteMdp.from_env(EnvParams(contexts=()), WorkerProfile())
+    model = mdp.lumped() if lumped else mdp.model
     with pytest.raises(ValueError):
         model.expect(np.zeros(36), out)
 
