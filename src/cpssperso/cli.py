@@ -237,31 +237,28 @@ DQN_METRICS_HEADER = ("step", "episode_return", "loss", "epsilon")
 
 def cmd_train(config_file: str, agent: str, partial_obs: bool) -> int:
     cfg = load_experiment_config(config_file)
-    run_dir = cfg.output_dir / cfg.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
     env = WorkshopEnv(cfg.env_params, cfg.profile)
     if agent == "tabular":
         q, metrics = train_tabular(env, cfg.schedule, partial_obs)
         seed = cfg.env_params.seed
-        _write_csv(
-            run_dir / "metrics.csv",
-            TABULAR_METRICS_HEADER,
-            [(m.episode, m.episode_return, m.epsilon, m.max_abs_td_error, seed) for m in metrics],
-        )
+        header = TABULAR_METRICS_HEADER
+        rows = [(m.episode, m.episode_return, m.epsilon, m.max_abs_td_error, seed) for m in metrics]
         artifact = "qtable.bin"
-        save_qtable(q, cfg.env_params.gamma, run_dir / artifact)
+        save = lambda path: save_qtable(q, cfg.env_params.gamma, path)  # noqa: E731
     elif agent == "dqn":
         params, metrics = dqn_mod.train_dqn(env, cfg.dqn, partial_obs)
         seed = cfg.dqn.seed
-        _write_csv(
-            run_dir / "metrics.csv",
-            DQN_METRICS_HEADER,
-            [(m.step, m.episode_return, m.loss, m.epsilon) for m in metrics],
-        )
+        header = DQN_METRICS_HEADER
+        rows = [(m.step, m.episode_return, m.loss, m.epsilon) for m in metrics]
         artifact = "network.bin"
-        dqn_mod.save_params(params, run_dir / artifact)
+        save = lambda path: dqn_mod.save_params(params, path)  # noqa: E731
     else:
         raise ConfigError(f"unknown agent: {agent!r}")
+    # made after training, so that a run that fails in training leaves no directory
+    run_dir = cfg.output_dir / cfg.run_id
+    run_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(run_dir / "metrics.csv", header, rows)
+    save(run_dir / artifact)
     cfg_hash = config_hash(cfg.raw)
     record = {
         "run_id": cfg.run_id,

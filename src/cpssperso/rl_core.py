@@ -25,11 +25,11 @@ from .workshop_env import (
     ScalarDraws,
     WorkerProfile,
     WorkshopEnv,
+    _influence_mask,
     influence_counts,
+    num_states,
     reward_cells,
     reward_table,
-    safety_violation_ids,
-    worker_need_ids,
 )
 
 
@@ -150,7 +150,7 @@ class LumpedMdp(FiniteMdp):
     @cached_property
     def rewards(self) -> np.ndarray:
         """``reward_cells`` as the (L, A) view of an (A, L) array."""
-        cells = reward_cells(self.params, self.profile)
+        cells = reward_cells(self.params, self.profile)[0]
         return np.ascontiguousarray(cells.transpose(2, 0, 1)).reshape(cells.shape[2], -1).T
 
     @cached_property
@@ -473,6 +473,19 @@ class EvalSummary:
     safety_violation_rate: float
 
 
+def _check_policy(actions: np.ndarray, params: EnvParams) -> np.ndarray:
+    """``actions`` as an array if it is a policy of the workshop, else ``ValueError``."""
+    actions = np.asarray(actions)
+    n_states, n_actions = num_states(params), WorkshopEnv.num_actions
+    if actions.shape != (n_states,):
+        raise ValueError(f"policy of shape {actions.shape} for {n_states} states")
+    if actions.dtype.kind not in "iu":
+        raise ValueError(f"policy of dtype {actions.dtype}, not of action indices")
+    if actions.min() < 0 or actions.max() >= n_actions:
+        raise ValueError(f"policy actions outside [0, {n_actions})")
+    return actions
+
+
 def evaluate_policy(
     params: EnvParams,
     profile: WorkerProfile,
@@ -490,19 +503,13 @@ def evaluate_policy(
     Reports mean undiscounted return, the fraction of steps whose action
     matched the worker-need rule of the true state, and the fraction of
     steps whose reward has a non-zero safety term (an unsafe action next to
-    a degraded influencing machine).  Episode ``i`` starts from seed
-    ``params.seed + 100_000 + i``.
+    a degraded influencing machine), both read off ``reward_cells`` at the
+    steps taken.  Episode ``i`` starts from seed ``params.seed + 100_000 + i``.
     """
     if episodes <= 0:
         return EvalSummary(0, 0.0, 0.0, 0.0)
+    actions = _check_policy(actions, params)
     env = WorkshopEnv(params, profile)
-    actions = np.asarray(actions)
-    if actions.shape != (env.num_states,):
-        raise ValueError(f"policy of shape {actions.shape} for {env.num_states} states")
-    if actions.dtype.kind not in "iu":
-        raise ValueError(f"policy of dtype {actions.dtype}, not of action indices")
-    if actions.min() < 0 or actions.max() >= env.num_actions:
-        raise ValueError(f"policy actions outside [0, {env.num_actions})")
     returns = []
     visited = []
     acted_on = []
@@ -515,15 +522,14 @@ def evaluate_policy(
             s, obs, reward, done = env.step_id(int(actions[acted_on[-1]]))
             total += reward
         returns.append(total)
-    visited = np.array(visited)
-    taken = actions[np.array(acted_on)]
-    matches = int(np.count_nonzero(taken == worker_need_ids(params, profile)[visited]))
-    violations = int(np.count_nonzero(safety_violation_ids(params)[visited, taken]))
+    mask = _influence_mask(params)
+    cells = np.array(visited) >> len(params.contexts), [(s & mask).bit_count() for s in visited], actions[acted_on]
+    _, match, violation = reward_cells(params, profile)
     return EvalSummary(
         episodes=episodes,
         mean_return=float(np.mean(returns)),
-        worker_match_rate=matches / len(visited),
-        safety_violation_rate=violations / len(visited),
+        worker_match_rate=int(np.count_nonzero(match[cells])) / len(visited),
+        safety_violation_rate=int(np.count_nonzero(violation[cells])) / len(visited),
     )
 
 
@@ -531,9 +537,13 @@ def exact_match_rate(
     policy_actions: np.ndarray, params: EnvParams, profile: WorkerProfile
 ) -> float:
     """Fraction of the enumerated state space where the policy picks the
-    worker-need action (no sampling)."""
-    need = worker_need_ids(params, profile)
-    return int(np.count_nonzero(np.asarray(policy_actions) == need)) / len(need)
+    worker-need action (no sampling), from the match cells of
+    ``reward_cells``; the policy is checked as by ``evaluate_policy``."""
+    policy = _check_policy(policy_actions, params)
+    _, match, _ = reward_cells(params, profile)
+    wp = np.arange(len(match))[:, None]
+    hits = match[wp, influence_counts(params), policy.reshape(len(match), -1)]
+    return int(np.count_nonzero(hits)) / policy.size
 
 
 # ---------------------------------------------------------------------------

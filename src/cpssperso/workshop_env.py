@@ -842,23 +842,6 @@ def _worker_need_table(profile: WorkerProfile) -> np.ndarray:
     return table
 
 
-def worker_need_ids(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
-    """The action index of ``worker_need`` for every state id, from
-    ``_worker_need_table``."""
-    table = _worker_need_table(profile)
-    k = len(params.contexts)
-    flags = (np.arange(1 << k) & _influence_mask(params)) != 0
-    # state id = (worker * 2 + pressure) << k | machine bits
-    return np.repeat(table[:, flags.astype(np.intp)], 2, axis=0).ravel()
-
-
-def safety_violation_ids(params: EnvParams) -> np.ndarray:
-    """(S, A) booleans: where ``reward_fn`` has a non-zero context term, an
-    unsafe action next to a degraded influencing machine."""
-    degraded = (np.arange(num_states(params)) & _influence_mask(params)) != 0
-    return degraded[:, None] & _UNSAFE_INDEX & (params.rewards.context_unsafe != 0.0)
-
-
 #: The number of set bits of each byte: two lookups count the machine bits
 #: of an id, of which there are at most ``MAX_MACHINES`` = 16.
 _BYTE_BITS = np.array([i.bit_count() for i in range(256)], dtype=np.intp)
@@ -871,30 +854,32 @@ def influence_counts(params: EnvParams) -> np.ndarray:
     return _BYTE_BITS[influencing & 0xFF] + _BYTE_BITS[influencing >> 8]
 
 
-def reward_cells(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
-    """``reward_fn(...).total`` as a (36, m + 1, A) table over worker x
+def reward_cells(params: EnvParams, profile: WorkerProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``reward_fn``'s terms as three (36, m + 1, A) tables over worker x
     pressure, the number of degraded influencing machines (of ``m``) and
-    the action.  Each cell is computed on one representative, whose first
-    ``c`` influencing machines are degraded, from the terms' factors (the
-    worker-need rule per worker and flag, the pressure bit, one influencing
-    machine at a time) summed with the float operations of
-    ``composite_total``, in its order.  The total depends on the count alone,
-    bit for bit: an ok machine adds +0.0, which leaves a nonzero sum as it
-    is, and the sign of a zero sum depends only on how many of its terms are
-    +0.0."""
+    the action: the total, whether the action is ``worker_need``'s, and
+    whether a context term is non-zero.  Each total is computed on one
+    representative, whose first ``c`` influencing machines are degraded,
+    from the terms' factors (the worker-need rule per worker and flag, the
+    pressure bit, one influencing machine at a time) summed with the float
+    operations of ``composite_total``, in its order.  The total depends on
+    the count alone, bit for bit: an ok machine adds +0.0, which leaves a
+    nonzero sum as it is, and the sign of a zero sum depends only on how
+    many of its terms are +0.0."""
     mags, weights = params.rewards, params.weights
     m = sum(c.influences_worker for c in params.contexts)
     wp = np.arange(2 * len(WORKER_STATES))[:, None, None]
     count = np.arange(m + 1)[:, None]
     actions = np.arange(len(ACTIONS))
-    need = _worker_need_table(profile)[wp >> 1, (count > 0).astype(np.intp)]
-    r_worker = np.where(need == actions, float(mags.worker_match), float(mags.worker_mismatch))
+    match = _worker_need_table(profile)[wp >> 1, (count > 0).astype(np.intp)] == actions
+    r_worker = np.where(match, float(mags.worker_match), float(mags.worker_mismatch))
     held_under_pressure = (wp & 1 == 1) & (actions == ACTION_INDEX[Action.HOLD])
     r_team = np.where(held_under_pressure, float(mags.team_bad), float(mags.team_ok))
     total = weights.w_worker * r_worker + weights.w_team * r_team
     for i in range(m):
         total += weights.w_context * np.where((count > i) & _UNSAFE_INDEX, float(mags.context_unsafe), 0.0)
-    return total
+    violation = (count > 0) & _UNSAFE_INDEX & (mags.context_unsafe != 0.0)
+    return total, match, np.broadcast_to(violation, total.shape)
 
 
 def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
@@ -903,7 +888,7 @@ def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
     and number of degraded influencing machines, so it is bit-equal to
     ``reward_fn``.  The array is the transposed view of a C-contiguous
     (A, S) one, the layout of value iteration's sweeps."""
-    cells = reward_cells(params, profile).transpose(2, 0, 1)
+    cells = reward_cells(params, profile)[0].transpose(2, 0, 1)
     # take, unlike an index array on the last axis, returns a C-contiguous
     # (A, 36, 2^k) array, so the reshape is a view
     return cells.take(influence_counts(params), axis=2).reshape(len(ACTIONS), -1).T
@@ -1022,6 +1007,7 @@ class WorkshopEnv:
         self._worker_shift = len(params.contexts) + 1
         self._horizon = params.horizon
         self._model = FactoredModel(params, self.profile)
+        self._rewards = reward_cells(params, self.profile)[0]
         #: s * num_actions + a -> the row of (s, a), see ``_row``
         self._rows: dict[int, tuple[array, array, float]] = {}
 
@@ -1099,19 +1085,14 @@ class WorkshopEnv:
         """Build, cache and return the row of (s, a), for an action index in
         range: its next-state ids as an ``array('q')``, the cumulative
         probabilities that ``FactoredModel.row`` shares between rows, and
-        the reward total from ``reward_cells``.  Both ``array``s hold 8
-        bytes an entry, as in numpy, and ``step_id`` reads them as Python
-        scalars."""
+        the reward total from ``reward_cells``, as a float.  Both ``array``s
+        hold 8 bytes an entry, as in numpy, and ``step_id`` reads them as
+        Python scalars."""
         ids, cum = self._model.row(s, a)
         count = (s & self._model.influence_mask).bit_count()
-        reward = self._reward_cells[s >> (self._worker_shift - 1)][count][a]
+        reward = float(self._rewards[s >> (self._worker_shift - 1), count, a])
         row = self._rows[s * self.num_actions + a] = (array("q", ids.tobytes()), cum, reward)
         return row
-
-    @functools.cached_property
-    def _reward_cells(self) -> list[list[list[float]]]:
-        """``reward_cells`` as lists, read as ``[worker * 2 + pressure][count][action]``."""
-        return reward_cells(self.params, self.profile).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,7 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "diverged" in err[0]
         assert "at step " in err[0]
+        assert not (Path(quick_config["output_dir"]) / "quick").exists()
 
     def test_buffer_capacity_far_above_the_steps_runs(self, quick_config, write_config):
         # the replay allocates rows for the steps the run takes, not the capacity

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -25,6 +27,7 @@ from cpssperso.rl_core import (
     value_iteration,
 )
 from cpssperso.workshop_env import (
+    ACTION_INDEX,
     ACTIONS,
     PACES,
     ContextConfig,
@@ -32,6 +35,7 @@ from cpssperso.workshop_env import (
     RewardMagnitudes,
     WorkerProfile,
     WorkshopEnv,
+    decode_state,
     encode_state,
     num_states,
     worker_need,
@@ -479,6 +483,59 @@ class TestEvaluatePolicy:
     def test_unsigned_policy_accepted(self):
         pi = np.zeros(72, dtype=np.uint8)
         assert evaluate_policy(EnvParams(), PROFILE, pi, 3) == evaluate_policy(EnvParams(), PROFILE, pi.astype(int), 3)
+
+
+class TestExactMatchRate:
+    def test_matches_the_worker_need_rule_on_every_state(self):
+        """Against ``worker_need`` on every decoded state id, for random and
+        value-iteration policies on the sampled configs, whose first ones
+        have no safety penalty and a machine that influences nothing."""
+        rng = np.random.default_rng(2027)
+        for i in range(20):
+            params, profile = sampled_config(rng, i)
+            n = num_states(params)
+            need = [ACTION_INDEX[worker_need(decode_state(s, params), profile)] for s in range(n)]
+            solved = greedy_policy(value_iteration(FiniteMdp.from_env(params, profile), params.gamma, 1e-9))
+            for pi in (rng.integers(len(ACTIONS), size=n), solved):
+                expected = sum(int(pi[s]) == need[s] for s in range(n)) / n
+                assert exact_match_rate(pi, params, profile) == expected, (i, params)
+
+    @pytest.mark.parametrize(
+        "pi",
+        [
+            np.zeros(36, dtype=int),
+            np.zeros(73, dtype=int),
+            np.zeros((72, 1), dtype=int),
+            np.zeros(72),
+            np.zeros(72, dtype=bool),
+            np.full(72, -1),
+            np.full(72, 7),
+        ],
+        ids=["half-the-states", "one-state-more", "two-dimensional", "float", "bool", "negative", "too-large"],
+    )
+    def test_bad_policies_rejected_as_by_evaluate_policy(self, pi):
+        with pytest.raises(ValueError) as rejected:
+            exact_match_rate(pi, EnvParams(), PROFILE)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+            evaluate_policy(EnvParams(), PROFILE, pi, episodes=1)
+
+
+def test_sixteen_machine_rates_build_nothing_of_the_state_space_size():
+    """At the most machines a config may name, with the expanded lumped
+    solution as the policy, each rate peaks below the size of one (S,)
+    float64 array (18.9 MB) under tracemalloc, which numpy's buffers report
+    to: neither builds a need or violation table over state ids."""
+    params = EnvParams(contexts=tuple(ContextConfig(f"m{i}") for i in range(16)))
+    mdp = FiniteMdp.from_env(params, PROFILE).lumped()
+    pi = mdp.expand(greedy_policy(value_iteration(mdp, params.gamma, 1e-9)))
+    for rate in (lambda: evaluate_policy(params, PROFILE, pi, episodes=20), lambda: exact_match_rate(pi, params, PROFILE)):
+        tracemalloc.start()
+        try:
+            rate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pi.size * 8
 
 
 class TestPersistence:
