@@ -175,6 +175,18 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return parse_experiment_config(raw, seed_override)
 
 
+def _run_dir(cfg: ExperimentConfig) -> Path:
+    """``output_dir / run_id``, or ``NotADirectoryError`` (exit 3) unless the
+    nearest existing path up from it is a directory this process may write
+    to.  Called before any work; creates nothing."""
+    run_dir = path = cfg.output_dir / cfg.run_id
+    while not os.path.lexists(path):
+        path = path.parent
+    if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+        raise NotADirectoryError(f"cannot create {run_dir}: {path} is not a writable directory")
+    return run_dir
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with replacing(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -237,6 +249,7 @@ DQN_METRICS_HEADER = ("step", "episode_return", "loss", "epsilon")
 
 def cmd_train(config_file: str, agent: str, partial_obs: bool) -> int:
     cfg = load_experiment_config(config_file)
+    run_dir = _run_dir(cfg)
     env = WorkshopEnv(cfg.env_params, cfg.profile)
     if agent == "tabular":
         q, metrics = train_tabular(env, cfg.schedule, partial_obs)
@@ -255,7 +268,6 @@ def cmd_train(config_file: str, agent: str, partial_obs: bool) -> int:
     else:
         raise ConfigError(f"unknown agent: {agent!r}")
     # made after training, so that a run that fails in training leaves no directory
-    run_dir = cfg.output_dir / cfg.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(run_dir / "metrics.csv", header, rows)
     save(run_dir / artifact)
@@ -415,12 +427,12 @@ def sweep_param(
 
 def cmd_sweep(config_file: str, param: str, values_csv: str, agent: str, episodes: int) -> int:
     cfg = load_experiment_config(config_file)
+    out_dir = _run_dir(cfg)
     try:
         values = [float(v) for v in values_csv.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values: {exc}") from exc
     rows = sweep_param(cfg, param, values, agent, episodes)
-    out_dir = cfg.output_dir / cfg.run_id
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"sweep_{param.replace('.', '_')}.csv"
     _write_csv(out_path, ("value", "mean_return", "match_rate"), rows)

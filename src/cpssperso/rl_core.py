@@ -25,11 +25,9 @@ from .workshop_env import (
     ScalarDraws,
     WorkerProfile,
     WorkshopEnv,
-    _influence_mask,
     influence_counts,
     num_states,
     reward_cells,
-    reward_table,
 )
 
 
@@ -96,23 +94,26 @@ class FiniteMdp:
     def from_env(cls, params: EnvParams, profile: WorkerProfile) -> "WorkshopMdp":
         """The workshop, exactly (no sampling): its factored transition
         model, and its reward table on first read."""
-        return WorkshopMdp(FactoredModel(params, profile), params, profile)
+        return WorkshopMdp(FactoredModel(params, profile), params)
 
 
 class WorkshopMdp(FiniteMdp):
-    """The workshop as its ``FactoredModel`` plus the (S, A) rewards of
-    ``reward_table``, built on first read.  ``expect`` never builds the
-    dense matrix; ``transitions`` builds it with ``FactoredModel.dense()``
-    on first read and keeps it, as an oracle for tests and checks."""
+    """The workshop as its ``FactoredModel`` plus the (S, A) rewards that the
+    model's total cells give, bit-equal to ``reward_fn``, built on first
+    read.  ``expect`` never builds the dense matrix; ``transitions`` builds
+    it with ``FactoredModel.dense()`` on first read and keeps it, as an
+    oracle for tests and checks."""
 
-    def __init__(self, model: FactoredModel, params: EnvParams, profile: WorkerProfile):
+    def __init__(self, model: FactoredModel, params: EnvParams):
         self.model = model
         self.params = params
-        self.profile = profile
 
     @cached_property
     def rewards(self) -> np.ndarray:
-        return reward_table(self.params, self.profile)
+        cells = self.model.reward_cells[0].transpose(2, 0, 1)
+        # take, unlike an index array on the last axis, returns a C-contiguous
+        # (A, 36, 2^k) array, so the reshape is a view
+        return cells.take(influence_counts(self.params), axis=2).reshape(len(cells), -1).T
 
     @cached_property
     def transitions(self) -> np.ndarray:
@@ -123,7 +124,7 @@ class WorkshopMdp(FiniteMdp):
 
     def lumped(self) -> "LumpedMdp":
         """The same workshop on its lumped chain; builds nothing."""
-        return LumpedMdp(self.model, self.params, self.profile)
+        return LumpedMdp(self.model, self.params)
 
 
 class LumpedMdp(FiniteMdp):
@@ -141,16 +142,15 @@ class LumpedMdp(FiniteMdp):
     on first read, inside ``value_iteration``; ``transitions``, the dense
     (L, A, L) matrix, is an oracle built on first read."""
 
-    def __init__(self, model: FactoredModel, params: EnvParams, profile: WorkerProfile):
+    def __init__(self, model: FactoredModel, params: EnvParams):
         self.model = model
         self.params = params
-        self.profile = profile
         self.num_counts = model.influence_mask.bit_count() + 1
 
     @cached_property
     def rewards(self) -> np.ndarray:
-        """``reward_cells`` as the (L, A) view of an (A, L) array."""
-        cells = reward_cells(self.params, self.profile)[0]
+        """The model's total cells as the (L, A) view of an (A, L) array."""
+        cells = self.model.reward_cells[0]
         return np.ascontiguousarray(cells.transpose(2, 0, 1)).reshape(cells.shape[2], -1).T
 
     @cached_property
@@ -503,8 +503,9 @@ def evaluate_policy(
     Reports mean undiscounted return, the fraction of steps whose action
     matched the worker-need rule of the true state, and the fraction of
     steps whose reward has a non-zero safety term (an unsafe action next to
-    a degraded influencing machine), both read off ``reward_cells`` at the
-    steps taken.  Episode ``i`` starts from seed ``params.seed + 100_000 + i``.
+    a degraded influencing machine), both read off the env model's
+    ``reward_cells`` at the steps taken, so a call builds them once.
+    Episode ``i`` starts from seed ``params.seed + 100_000 + i``.
     """
     if episodes <= 0:
         return EvalSummary(0, 0.0, 0.0, 0.0)
@@ -522,9 +523,9 @@ def evaluate_policy(
             s, obs, reward, done = env.step_id(int(actions[acted_on[-1]]))
             total += reward
         returns.append(total)
-    mask = _influence_mask(params)
+    mask = env.model.influence_mask
     cells = np.array(visited) >> len(params.contexts), [(s & mask).bit_count() for s in visited], actions[acted_on]
-    _, match, violation = reward_cells(params, profile)
+    _, match, violation = env.model.reward_cells
     return EvalSummary(
         episodes=episodes,
         mean_return=float(np.mean(returns)),

@@ -9,9 +9,9 @@ must strictly dominate the others.
 
 The transition structure is an explicit, fully enumerable distribution
 (`transition_model`, the readable reference).  `FactoredModel` holds the same
-distribution as per-factor tables on integer state ids; the environment
-samples its rows, and exact solvers take expectations from it factor by
-factor, with ``reward_table`` as their rewards.  What the cobot perceives
+distribution as per-factor tables on integer state ids, beside the reward
+terms of ``reward_cells``; the environment samples its rows, and exact
+solvers take expectations and rewards from it.  What the cobot perceives
 is a ``WorkshopState`` too, read through a noisy inference channel: with
 probability ``alpha`` the observed worker state is the true one, otherwise
 it is uniform over the remaining worker states; team and machines are read
@@ -644,11 +644,15 @@ class FactoredModel:
     order, ``(p_worker * p_pressure) * ((m1 * m2) * ...)``, and zero outcomes
     are dropped, so rows and the dense matrix are bit-equal to it.  ``expect``,
     the full-state oracle's operator, takes expectations without that matrix.
+    It also holds ``reward_cells`` and ``rows``, the cache that ``row`` fills.
     """
 
     def __init__(self, params: EnvParams, profile: WorkerProfile):
         self.num_machines = len(params.contexts)
         self.influence_mask = _influence_mask(params)
+        self.reward_cells = reward_cells(params, profile)
+        #: s * num_actions + a -> the row of (s, a), see ``row``
+        self.rows: dict[int, tuple[array, array, float]] = {}
         n_w, n_a = len(WORKER_STATES), len(ACTIONS)
         worker = _worker_kernel(params, profile)
         #: [action, machine bit, next machine bit]: the probability that
@@ -719,17 +723,19 @@ class FactoredModel:
         """Every machine-bit pattern, ``arange(2^k)``."""
         return np.arange(1 << self.num_machines, dtype=np.int64)
 
-    def row(self, s: int, a: int) -> tuple[np.ndarray, array]:
-        """Next-state ids of (s, a), ascending, and their cumulative
-        probabilities.  The probabilities are fixed by four facts: the flag,
-        the action, the worker x pressure index ``s >> k`` and the number of
-        two-outcome machines.  Every row with the same four holds the same
-        cumulative ``array('d')``, built on the first of them: do not write
-        to it.  The ids are that key's nonzero worker x pressure ids, shifted
-        above the machine bits, joined with the machine ids."""
+    def row(self, s: int, a: int) -> tuple[array, array, float]:
+        """Build, cache in ``rows`` and return the row of (s, a): its next-state
+        ids, ascending, as an ``array('q')``, their cumulative probabilities
+        and the reward total.  The probabilities are fixed by four facts: the
+        flag, the action, the worker x pressure index ``s >> k`` and the
+        number of two-outcome machines.  Every row with the same four holds
+        the same cumulative ``array('d')``, built on the first of them: do
+        not write to it.  The ids are that key's nonzero worker x pressure
+        ids, shifted above the machine bits, joined with the machine ids."""
         k = self.num_machines
         bits = s & ((1 << k) - 1)
-        flag = int((bits & self.influence_mask) != 0)
+        count = (bits & self.influence_mask).bit_count()
+        flag = int(count > 0)
         m_ids, n = self._machines(a, bits)
         key = (flag, a, s >> k, n)
         part = self._parts.get(key)
@@ -737,7 +743,9 @@ class FactoredModel:
             part = self._parts[key] = self._part(self.worker_team[flag, a, s >> k], self._fold(a, n))
         high, keep, cum = part
         ids = (high[:, None] | m_ids).ravel()
-        return (ids if keep is None else ids[keep]), cum
+        ids = array("q", (ids if keep is None else ids[keep]).tobytes())
+        row = self.rows[s * len(ACTIONS) + a] = (ids, cum, float(self.reward_cells[0][s >> k, count, a]))
+        return row
 
     def _part(self, wt: np.ndarray, m_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, array]:
         """The parts of the rows whose worker x pressure probabilities are
@@ -882,18 +890,6 @@ def reward_cells(params: EnvParams, profile: WorkerProfile) -> tuple[np.ndarray,
     return total, match, np.broadcast_to(violation, total.shape)
 
 
-def reward_table(params: EnvParams, profile: WorkerProfile) -> np.ndarray:
-    """``reward_fn(...).total`` for every (state id, action index), as an
-    (S, A) array: ``reward_cells`` gathered at each id's worker x pressure
-    and number of degraded influencing machines, so it is bit-equal to
-    ``reward_fn``.  The array is the transposed view of a C-contiguous
-    (A, S) one, the layout of value iteration's sweeps."""
-    cells = reward_cells(params, profile)[0].transpose(2, 0, 1)
-    # take, unlike an index array on the last axis, returns a C-contiguous
-    # (A, 36, 2^k) array, so the reshape is a view
-    return cells.take(influence_counts(params), axis=2).reshape(len(ACTIONS), -1).T
-
-
 # ---------------------------------------------------------------------------
 # Scalar random draws
 # ---------------------------------------------------------------------------
@@ -987,10 +983,12 @@ class WorkshopEnv:
     ``reset()`` starts a new episode on the continuing stream, while
     ``reset(seed=...)`` reseeds first (two environments built from equal
     params produce bit-identical trajectories for equal action sequences).
-    The current state is held as its ``encode_state`` id, next to the count
-    of steps taken in the episode.  ``reset_id``/``step_id`` work on ids
-    and action indices; ``reset``/``step``/``observe`` wrap them for callers
-    who want ``WorkshopState``s.  Instances are single-threaded; run
+    The env holds only what a rollout changes: the state as its
+    ``encode_state`` id, the steps taken in the episode and the draws; its
+    rows come from ``model``, the ``FactoredModel`` of its params and
+    profile.  ``reset_id``/``step_id`` work on ids and action indices;
+    ``reset``/``step``/``observe`` wrap them for callers who want
+    ``WorkshopState``s.  Instances are single-threaded; run
     independent instances in parallel.
     """
 
@@ -1006,10 +1004,9 @@ class WorkshopEnv:
         # the machine bits and the pressure bit sit below the worker index
         self._worker_shift = len(params.contexts) + 1
         self._horizon = params.horizon
-        self._model = FactoredModel(params, self.profile)
-        self._rewards = reward_cells(params, self.profile)[0]
-        #: s * num_actions + a -> the row of (s, a), see ``_row``
-        self._rows: dict[int, tuple[array, array, float]] = {}
+        self.model = FactoredModel(params, self.profile)
+        # the model's row cache, one attribute lookup away on the per-step path
+        self._rows = self.model.rows
 
     @property
     def num_states(self) -> int:
@@ -1040,7 +1037,7 @@ class WorkshopEnv:
             raise IndexError(f"action index {a} out of range [0, {self.num_actions})")
         row = self._rows.get(s * self.num_actions + a)
         if row is None:
-            row = self._row(s, a)
+            row = self.model.row(s, a)
         next_ids, cum, reward = row
         u = self._rng.random()
         s = self._s = next_ids[min(bisect_right(cum, u), len(next_ids) - 1)]
@@ -1080,19 +1077,6 @@ class WorkshopEnv:
         nxt, obs, _, done = self.step_id(ACTION_INDEX[action])
         reward = reward_fn(decode_state(s, self.params), action, self.params, self.profile)
         return decode_state(nxt, self.params), decode_state(obs, self.params), reward, done
-
-    def _row(self, s: int, a: int) -> tuple[array, array, float]:
-        """Build, cache and return the row of (s, a), for an action index in
-        range: its next-state ids as an ``array('q')``, the cumulative
-        probabilities that ``FactoredModel.row`` shares between rows, and
-        the reward total from ``reward_cells``, as a float.  Both ``array``s
-        hold 8 bytes an entry, as in numpy, and ``step_id`` reads them as
-        Python scalars."""
-        ids, cum = self._model.row(s, a)
-        count = (s & self._model.influence_mask).bit_count()
-        reward = float(self._rewards[s >> (self._worker_shift - 1), count, a])
-        row = self._rows[s * self.num_actions + a] = (array("q", ids.tobytes()), cum, reward)
-        return row
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from cpssperso.meta_model import (
     SystemNode,
     full_component,
 )
+from cpssperso import rl_core, workshop_env
 from cpssperso.workshop_env import FactoredModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +81,19 @@ def no_full_state_solver(monkeypatch):
 
     monkeypatch.setattr(FactoredModel, "expect", refuse)
     monkeypatch.setattr(FactoredModel, "dense", refuse)
+
+
+@pytest.fixture
+def reward_cells_calls(monkeypatch):
+    """The arguments of every ``reward_cells`` call while the test runs,
+    through ``workshop_env`` and ``rl_core`` alike."""
+    calls = []
+    build = workshop_env.reward_cells
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (workshop_env, rl_core):
+        monkeypatch.setattr(module, "reward_cells", counted)
+    return calls

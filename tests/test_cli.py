@@ -413,6 +413,38 @@ class TestTrain:
         path = write_config(quick_config)
         assert main(["train", str(path), "--agent", "tabular"]) == 3
 
+    @pytest.mark.parametrize("blocked", ["under-a-file", "is-a-file"])
+    @pytest.mark.parametrize(
+        "argv, owner, name",
+        [
+            (["train", "CONFIG", "--agent", "tabular"], cli, "train_tabular"),
+            (["train", "CONFIG", "--agent", "dqn"], dqn, "train_dqn"),
+            (["sweep", "CONFIG", "--param", "env.noise_p", "--values", "0.1"], cli, "sweep_param"),
+        ],
+        ids=["tabular", "dqn", "sweep"],
+    )
+    def test_uncreatable_output_dir_exits_3_before_any_work(
+        self, quick_config, write_config, tmp_path, monkeypatch, capsys, blocked, argv, owner, name
+    ):
+        """The run directory is checked before training or sweeping, with
+        one ``error:`` line, and nothing is created."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        quick_config["output_dir"] = str(blocker / "runs" if blocked == "under-a-file" else tmp_path)
+        quick_config["run_id"] = "blocker"
+        path = write_config(quick_config)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the run directory was checked")
+
+        monkeypatch.setattr(owner, name, no_work)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([str(path) if a == "CONFIG" else a for a in argv]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "blocker" in err[0]
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "a regular file, not a directory"
+
     @pytest.mark.parametrize(
         "edit, env_seed",
         [
@@ -788,6 +820,14 @@ class TestSweep:
         assert main(argv) == 0
         out_path = Path(quick_config["output_dir"]) / "quick" / "sweep_env_noise_p.csv"
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.PINNED_LEARNER_SWEEP[agent]
+
+    def test_a_vi_point_builds_the_reward_cells_three_times(self, quick_config, write_config, reward_cells_calls):
+        """Once for the solved model, once for the evaluation env's model and
+        once for the exact match rate."""
+        path = write_config(quick_config)
+        argv = ["sweep", str(path), "--param", "env.noise_p", "--values", "0.3", "--agent", "vi", "--episodes", "2"]
+        assert main(argv) == 0
+        assert len(reward_cells_calls) == 3
 
     def test_negative_seed_value_exits_2(self, quick_config, write_config, capsys):
         path = write_config(quick_config)

@@ -119,7 +119,7 @@ def check_against_reference(params: EnvParams, profile: WorkerProfile) -> None:
     assert np.max(np.abs(mdp.transitions.sum(axis=2) - 1.0)) <= 1e-12
     env = WorkshopEnv(params, profile)
     for (s, a), (ids_ref, cum_ref) in rows_ref.items():
-        ids, cum, total = env._row(s, a)
+        ids, cum, total = env.model.row(s, a)
         assert ids.tobytes() == ids_ref.tobytes(), (s, a)
         assert cum.tobytes() == cum_ref.tobytes(), (s, a)
         assert total == r_ref[s, a]
@@ -271,7 +271,7 @@ def test_row_rewards_are_reward_fn_bit_for_bit(seed, monkeypatch):
     for s, state in enumerate(states):
         for a, action in enumerate(ACTIONS):
             want = reward_fn(state, action, params, profile).total
-            got = env._row(s, a)[2]
+            got = env.model.row(s, a)[2]
             assert type(got) is float and got.hex() == want.hex(), (s, a)
 
 
@@ -320,7 +320,7 @@ def test_expect_matches_rows_beyond_one_kronecker_chunk(k):
         for a in range(len(ACTIONS)):
             ids, probs = row_by_list_product(model, params, int(s), a)
             assert abs(ev[s, a] - probs @ v[ids]) <= 1e-12 * np.max(np.abs(v)), (s, a)
-            got_ids, cum = model.row(int(s), a)
+            got_ids, cum, _ = model.row(int(s), a)
             assert got_ids.tobytes() == ids.tobytes(), (s, a)
             assert bytes(cum) == np.cumsum(probs).tobytes(), (s, a)
 
@@ -418,8 +418,8 @@ def test_rows_of_one_key_share_their_cumulative_probabilities():
     env = WorkshopEnv(K6)
     s1, s2 = (7 << 6) | 0b100000, (7 << 6) | 0b000001  # m0 or m5 degraded
     for a in range(len(ACTIONS)):
-        ids1, cum1, _ = env._row(s1, a)
-        ids2, cum2, _ = env._row(s2, a)
+        ids1, cum1, _ = env.model.row(s1, a)
+        ids2, cum2, _ = env.model.row(s2, a)
         assert cum1 is cum2, a
     assert ids1 != ids2  # handover keeps m0 / m5 degraded
 
@@ -428,10 +428,10 @@ def test_distinct_cumulative_arrays_are_fewer_than_rows():
     env = WorkshopEnv(K6)
     for s in range(num_states(K6)):
         for a in range(len(ACTIONS)):
-            env._row(s, a)
+            env.model.row(s, a)
     distinct = {id(cum) for _, cum, _ in env._rows.values()}
     assert len(env._rows) == num_states(K6) * len(ACTIONS)
-    assert len(distinct) == len(env._model._parts) < len(env._rows) // 4
+    assert len(distinct) == len(env.model._parts) < len(env._rows) // 4
 
 
 def test_rows_drop_machine_products_that_underflow():
@@ -454,9 +454,9 @@ def test_rows_do_not_depend_on_build_order(params):
     in_order, shuffled = WorkshopEnv(params), WorkshopEnv(params)
     pairs = [(s, a) for s in range(num_states(params)) for a in range(len(ACTIONS))]
     for s, a in pairs:
-        in_order._row(s, a)
+        in_order.model.row(s, a)
     for i in np.random.default_rng(6).permutation(len(pairs)):
-        shuffled._row(*pairs[i])
+        shuffled.model.row(*pairs[i])
     assert in_order._rows.keys() == shuffled._rows.keys()
     for key, (ids, cum, total) in in_order._rows.items():
         got_ids, got_cum, got_total = shuffled._rows[key]

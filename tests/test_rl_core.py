@@ -405,6 +405,13 @@ class TestEvaluatePolicy:
             violated += summary.safety_violation_rate > 0
         assert violated >= 5
 
+    def test_builds_the_reward_cells_once(self, reward_cells_calls):
+        """The env's model holds the cells that its rows and the rates read."""
+        params = EnvParams(contexts=(ContextConfig("m0"), ContextConfig("m1", False)), machine_degrade_p=0.3)
+        pi = np.random.default_rng(3).integers(len(ACTIONS), size=num_states(params))
+        evaluate_policy(params, PROFILE, pi, episodes=3)
+        assert reward_cells_calls == [(params, PROFILE)]
+
     @staticmethod
     def trajectories(monkeypatch, params, pi, episodes, partial_obs):
         """The summary of an evaluation, and every episode of it as its
