@@ -357,7 +357,7 @@ def cmd_evaluate(artifact_file: str, config_file: str, episodes: int) -> int:
     artifact = Path(artifact_file)
     policy = _load_policy(artifact, cfg)
     partial_obs = _trained_on_observations(artifact)
-    summary = evaluate_policy(cfg.env_params, cfg.profile, policy, episodes, partial_obs)
+    summary = evaluate_policy(WorkshopEnv(cfg.env_params, cfg.profile), policy, episodes, partial_obs)
     # an empty evaluation reports its episode count only
     out = asdict(summary) if summary.episodes else {"episodes": 0}
     print(json.dumps(out, sort_keys=True))
@@ -408,20 +408,20 @@ def sweep_param(
         node[key] = int(value) if original_is_int and float(value).is_integer() else float(value)
         point = parse_experiment_config(doc)
         params, profile = point.env_params, point.profile
+        env = WorkshopEnv(params, profile)  # a learner is scored on the env it trained on
         if agent == "vi":
             mdp = FiniteMdp.from_env(params, profile).lumped()
             pi = mdp.expand(greedy_policy(value_iteration(mdp, params.gamma, 1e-9)))
         elif agent == "tabular":
-            env = WorkshopEnv(params, profile)
             q, _ = train_tabular(env, point.schedule)
             pi = greedy_policy(q)
         elif agent == "dqn":
-            net, _ = dqn_mod.train_dqn(WorkshopEnv(params, profile), point.dqn)
+            net, _ = dqn_mod.train_dqn(env, point.dqn)
             pi = dqn_mod.greedy_policy(net, params, profile)
         else:
             raise ConfigError(f"unknown sweep agent: {agent!r}")
-        summary = evaluate_policy(params, profile, pi, episodes)
-        rows.append((float(value), summary.mean_return, exact_match_rate(pi, params, profile)))
+        summary = evaluate_policy(env, pi, episodes)
+        rows.append((float(value), summary.mean_return, exact_match_rate(pi, env.model)))
     return rows
 
 
@@ -474,8 +474,10 @@ def cmd_emit_plot_data(run_dir: str, window: int) -> int:
         fields = reader.fieldnames or []
     x_col = "episode" if "episode" in fields else "step"
     y_col = "return" if "return" in fields else "episode_return"
-    if x_col not in fields or y_col not in fields or not rows:
+    if x_col not in fields or y_col not in fields:
         raise ConfigError(f"{metrics_path} has no learning-curve columns")
+    if not rows:
+        raise ConfigError(f"{metrics_path} has no rows")
     xs = [row[x_col] for row in rows]
     try:
         ys = [float(row[y_col]) for row in rows]

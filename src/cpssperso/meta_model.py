@@ -438,10 +438,13 @@ def graph_from_dict(data: object) -> SosGraph:
         coupling_raw = str(raw.get("coupling", "Loose")).strip().lower()
         if coupling_raw not in ("tight", "loose"):
             raise GraphFormatError(f"unknown coupling: {raw.get('coupling')!r}")
+        components = raw.get("components", [])
+        if not isinstance(components, list):  # a string or an object would be read item by item
+            raise GraphFormatError(f"{where}.components must be a list, got {components!r}")
         nodes.append(
             SystemNode(
                 id=_json_value(raw, "id", None, str, where),
-                components=tuple(_parse_component(c) for c in raw.get("components", [])),
+                components=tuple(_parse_component(c) for c in components),
                 operational_independence=_json_value(raw, "operational_independence", True, bool, where),
                 managerial_independence=_json_value(raw, "managerial_independence", True, bool, where),
                 coupling=Coupling.TIGHT if coupling_raw == "tight" else Coupling.LOOSE,

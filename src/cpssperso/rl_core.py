@@ -25,9 +25,6 @@ from .workshop_env import (
     ScalarDraws,
     WorkerProfile,
     WorkshopEnv,
-    influence_counts,
-    num_states,
-    reward_cells,
 )
 
 
@@ -94,26 +91,25 @@ class FiniteMdp:
     def from_env(cls, params: EnvParams, profile: WorkerProfile) -> "WorkshopMdp":
         """The workshop, exactly (no sampling): its factored transition
         model, and its reward table on first read."""
-        return WorkshopMdp(FactoredModel(params, profile), params)
+        return WorkshopMdp(FactoredModel(params, profile))
 
 
 class WorkshopMdp(FiniteMdp):
-    """The workshop as its ``FactoredModel`` plus the (S, A) rewards that the
-    model's total cells give, bit-equal to ``reward_fn``, built on first
-    read.  ``expect`` never builds the dense matrix; ``transitions`` builds
-    it with ``FactoredModel.dense()`` on first read and keeps it, as an
-    oracle for tests and checks."""
+    """The workshop as the ``FactoredModel`` it is given, which alone it
+    reads, plus the (S, A) rewards that the model's total cells give, built
+    on first read.  ``expect`` never builds the dense matrix; ``transitions``
+    builds it with ``FactoredModel.dense()`` on first read and keeps it, as
+    an oracle for tests and checks."""
 
-    def __init__(self, model: FactoredModel, params: EnvParams):
+    def __init__(self, model: FactoredModel):
         self.model = model
-        self.params = params
 
     @cached_property
     def rewards(self) -> np.ndarray:
         cells = self.model.reward_cells[0].transpose(2, 0, 1)
         # take, unlike an index array on the last axis, returns a C-contiguous
         # (A, 36, 2^k) array, so the reshape is a view
-        return cells.take(influence_counts(self.params), axis=2).reshape(len(cells), -1).T
+        return cells.take(self.model.influence_counts, axis=2).reshape(len(cells), -1).T
 
     @cached_property
     def transitions(self) -> np.ndarray:
@@ -124,7 +120,7 @@ class WorkshopMdp(FiniteMdp):
 
     def lumped(self) -> "LumpedMdp":
         """The same workshop on its lumped chain; builds nothing."""
-        return LumpedMdp(self.model, self.params)
+        return LumpedMdp(self.model)
 
 
 class LumpedMdp(FiniteMdp):
@@ -138,13 +134,12 @@ class LumpedMdp(FiniteMdp):
     ``c`` moves by a sum of two binomials (``c -> c + Bin(m - c, p)`` under
     the four actions other than assist, ``c -> 0`` under assist).  Machines
     that influence nothing drop out.  Q of a state id is the lumped Q of its
-    lumped state, to rounding.  The count kernels and the rewards are built
-    on first read, inside ``value_iteration``; ``transitions``, the dense
-    (L, A, L) matrix, is an oracle built on first read."""
+    lumped state, to rounding.  All is built from the model it is given, on
+    first read: the count kernels and the rewards inside ``value_iteration``,
+    and ``transitions``, the dense (L, A, L) matrix, an oracle."""
 
-    def __init__(self, model: FactoredModel, params: EnvParams):
+    def __init__(self, model: FactoredModel):
         self.model = model
-        self.params = params
         self.num_counts = model.influence_mask.bit_count() + 1
 
     @cached_property
@@ -215,10 +210,10 @@ class LumpedMdp(FiniteMdp):
     def expand(self, lumped: np.ndarray) -> np.ndarray:
         """An array over lumped states, such as a policy or a Q-table, as
         the array over state ids that takes each id's lumped entry: the
-        count is the popcount of the id's influencing machine bits."""
+        count is the model's ``influence_counts`` of the id's machine bits."""
         k = self.model.num_machines
         rows = lumped.reshape(-1, self.num_counts, *lumped.shape[1:])
-        return rows.take(influence_counts(self.params), axis=1).reshape(len(rows) << k, *lumped.shape[1:])
+        return rows.take(self.model.influence_counts, axis=1).reshape(len(rows) << k, *lumped.shape[1:])
 
 
 def value_iteration(
@@ -473,10 +468,10 @@ class EvalSummary:
     safety_violation_rate: float
 
 
-def _check_policy(actions: np.ndarray, params: EnvParams) -> np.ndarray:
-    """``actions`` as an array if it is a policy of the workshop, else ``ValueError``."""
+def _check_policy(actions: np.ndarray, n_states: int) -> np.ndarray:
+    """``actions`` as an array if it is a policy over ``n_states`` ids, else ``ValueError``."""
     actions = np.asarray(actions)
-    n_states, n_actions = num_states(params), WorkshopEnv.num_actions
+    n_actions = WorkshopEnv.num_actions
     if actions.shape != (n_states,):
         raise ValueError(f"policy of shape {actions.shape} for {n_states} states")
     if actions.dtype.kind not in "iu":
@@ -487,35 +482,34 @@ def _check_policy(actions: np.ndarray, params: EnvParams) -> np.ndarray:
 
 
 def evaluate_policy(
-    params: EnvParams,
-    profile: WorkerProfile,
+    env: WorkshopEnv,
     actions: np.ndarray,
     episodes: int,
     partial_obs: bool = False,
 ) -> EvalSummary:
-    """Rollouts of the policy ``actions``, an (S,) array of action indices
-    over state ids, acting on the true state, or with ``partial_obs`` on
-    the observed one (``actions[obs]``), through the inference channel it
-    was trained on.  Both make the same draws in the same order.  A policy
-    of another shape, of a non-integer dtype or with an index outside
-    ``[0, 5)`` raises ``ValueError``.
+    """Rollouts on ``env`` of the policy ``actions``, an (S,) array of action
+    indices over state ids, acting on the true state, or with
+    ``partial_obs`` on the observed one (``actions[obs]``), through the
+    inference channel it was trained on.  Both make the same draws in the
+    same order.  A policy of another shape, of a non-integer dtype or with
+    an index outside ``[0, 5)`` raises ``ValueError``.
 
     Reports mean undiscounted return, the fraction of steps whose action
     matched the worker-need rule of the true state, and the fraction of
     steps whose reward has a non-zero safety term (an unsafe action next to
     a degraded influencing machine), both read off the env model's
-    ``reward_cells`` at the steps taken, so a call builds them once.
-    Episode ``i`` starts from seed ``params.seed + 100_000 + i``.
+    ``reward_cells`` at the steps taken.  Episode ``i`` reseeds the env
+    with ``params.seed + 100_000 + i``, and a row depends only on the state
+    and the action, so an env that training stepped scores as a new one.
     """
     if episodes <= 0:
         return EvalSummary(0, 0.0, 0.0, 0.0)
-    actions = _check_policy(actions, params)
-    env = WorkshopEnv(params, profile)
+    actions = _check_policy(actions, env.num_states)
     returns = []
     visited = []
     acted_on = []
     for i in range(episodes):
-        s, obs = env.reset_id(seed=params.seed + 100_000 + i)
+        s, obs = env.reset_id(seed=env.params.seed + 100_000 + i)
         total, done = 0.0, False
         while not done:
             visited.append(s)
@@ -523,8 +517,8 @@ def evaluate_policy(
             s, obs, reward, done = env.step_id(int(actions[acted_on[-1]]))
             total += reward
         returns.append(total)
-    mask = env.model.influence_mask
-    cells = np.array(visited) >> len(params.contexts), [(s & mask).bit_count() for s in visited], actions[acted_on]
+    visited, k = np.array(visited), env.model.num_machines
+    cells = visited >> k, env.model.influence_counts[visited & ((1 << k) - 1)], actions[acted_on]
     _, match, violation = env.model.reward_cells
     return EvalSummary(
         episodes=episodes,
@@ -534,16 +528,14 @@ def evaluate_policy(
     )
 
 
-def exact_match_rate(
-    policy_actions: np.ndarray, params: EnvParams, profile: WorkerProfile
-) -> float:
+def exact_match_rate(policy_actions: np.ndarray, model: FactoredModel) -> float:
     """Fraction of the enumerated state space where the policy picks the
-    worker-need action (no sampling), from the match cells of
+    worker-need action (no sampling), from the match cells of the model's
     ``reward_cells``; the policy is checked as by ``evaluate_policy``."""
-    policy = _check_policy(policy_actions, params)
-    _, match, _ = reward_cells(params, profile)
+    _, match, _ = model.reward_cells
+    policy = _check_policy(policy_actions, len(match) << model.num_machines)
     wp = np.arange(len(match))[:, None]
-    hits = match[wp, influence_counts(params), policy.reshape(len(match), -1)]
+    hits = match[wp, model.influence_counts, policy.reshape(len(match), -1)]
     return int(np.count_nonzero(hits)) / policy.size
 
 

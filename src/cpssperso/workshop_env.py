@@ -644,7 +644,8 @@ class FactoredModel:
     order, ``(p_worker * p_pressure) * ((m1 * m2) * ...)``, and zero outcomes
     are dropped, so rows and the dense matrix are bit-equal to it.  ``expect``,
     the full-state oracle's operator, takes expectations without that matrix.
-    It also holds ``reward_cells`` and ``rows``, the cache that ``row`` fills.
+    It also holds ``reward_cells``, built here alone, their index
+    ``influence_counts`` and ``rows``, the cache that ``row`` fills.
     """
 
     def __init__(self, params: EnvParams, profile: WorkerProfile):
@@ -722,6 +723,13 @@ class FactoredModel:
     def _all_ids(self) -> np.ndarray:
         """Every machine-bit pattern, ``arange(2^k)``."""
         return np.arange(1 << self.num_machines, dtype=np.int64)
+
+    @functools.cached_property
+    def influence_counts(self) -> np.ndarray:
+        """The number of degraded influencing machines in every machine-bit
+        pattern, an (2^k,) array: two ``_BYTE_BITS`` lookups each."""
+        influencing = np.arange(1 << self.num_machines) & self.influence_mask
+        return _BYTE_BITS[influencing & 0xFF] + _BYTE_BITS[influencing >> 8]
 
     def row(self, s: int, a: int) -> tuple[array, array, float]:
         """Build, cache in ``rows`` and return the row of (s, a): its next-state
@@ -853,13 +861,6 @@ def _worker_need_table(profile: WorkerProfile) -> np.ndarray:
 #: The number of set bits of each byte: two lookups count the machine bits
 #: of an id, of which there are at most ``MAX_MACHINES`` = 16.
 _BYTE_BITS = np.array([i.bit_count() for i in range(256)], dtype=np.intp)
-
-
-def influence_counts(params: EnvParams) -> np.ndarray:
-    """The number of degraded influencing machines in every machine-bit
-    pattern, an (2^k,) array: two ``_BYTE_BITS`` lookups each."""
-    influencing = np.arange(1 << len(params.contexts)) & _influence_mask(params)
-    return _BYTE_BITS[influencing & 0xFF] + _BYTE_BITS[influencing >> 8]
 
 
 def reward_cells(params: EnvParams, profile: WorkerProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

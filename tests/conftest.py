@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from cpssperso.meta_model import (
     SystemNode,
     full_component,
 )
-from cpssperso import rl_core, workshop_env
+from cpssperso import workshop_env
 from cpssperso.workshop_env import FactoredModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -84,16 +85,33 @@ def no_full_state_solver(monkeypatch):
 
 
 @pytest.fixture
+def model_builds(monkeypatch):
+    """The arguments of every ``FactoredModel`` built while the test runs."""
+    calls = []
+    build = FactoredModel.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(FactoredModel, "__init__", counted)
+    return calls
+
+
+@pytest.fixture
 def reward_cells_calls(monkeypatch):
-    """The arguments of every ``reward_cells`` call while the test runs,
-    through ``workshop_env`` and ``rl_core`` alike."""
+    """The arguments of every ``reward_cells`` call while the test runs.
+    Only calls that look it up in ``workshop_env`` are seen, so no other
+    module of the package may hold it."""
     calls = []
     build = workshop_env.reward_cells
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cpssperso.") and module is not workshop_env:
+            assert vars(module).get("reward_cells") is not build, f"{name} holds reward_cells: calls uncounted"
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    for module in (workshop_env, rl_core):
-        monkeypatch.setattr(module, "reward_cells", counted)
+    monkeypatch.setattr(workshop_env, "reward_cells", counted)
     return calls

@@ -138,12 +138,12 @@ def test_05_dqn_reaches_oracle_return():
     params = EnvParams()
     mdp = FiniteMdp.from_env(params, PROFILE)
     q_star = value_iteration(mdp, params.gamma, 1e-9)
-    vi_return = evaluate_policy(params, PROFILE, greedy_policy(q_star), 100).mean_return
+    vi_return = evaluate_policy(WorkshopEnv(params, PROFILE), greedy_policy(q_star), 100).mean_return
     ok = vi_return > 0
     for seed in range(3):
         env = WorkshopEnv(EnvParams(seed=seed), PROFILE)
         net, _ = train_dqn(env, DqnHyperparams(seed=seed, total_steps=20_000))
-        summary = evaluate_policy(params, PROFILE, dqn.greedy_policy(net, params, PROFILE), 100)
+        summary = evaluate_policy(WorkshopEnv(params, PROFILE), dqn.greedy_policy(net, params, PROFILE), 100)
         ok = ok and summary.mean_return >= 0.95 * vi_return
     report(5, "dqn greedy return vs oracle (3 seeds)", ok, t0, budget=300.0)
 

@@ -21,6 +21,7 @@ from cpssperso.rl_core import (
     replacing,
     save_qtable,
 )
+from cpssperso.workshop_env import WorkshopEnv
 
 pytestmark = pytest.mark.usefixtures("chdir_tmp")
 
@@ -113,6 +114,22 @@ class TestClassify:
         assert captured.err.splitlines() == [
             "error: nodes[0].operational_independence must be true or false, got 'false'"
         ]
+
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    @pytest.mark.parametrize(
+        "components", [None, 5, True, "Cyber", {"kind": "Cyber"}], ids=["null", "number", "bool", "string", "object"]
+    )
+    def test_components_not_a_list_exits_3(self, workshop_graph_path, tmp_path, capsys, command, components):
+        """A string or an object is not read item by item, nor does any other
+        value end in a traceback."""
+        doc = json.loads(workshop_graph_path.read_text())
+        doc["nodes"][1]["components"] = components
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc))
+        assert main([command, str(graph)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: nodes[1].components must be a list, got {components!r}"]
 
 
 class TestValidate:
@@ -640,6 +657,13 @@ class TestEvaluate:
         }
         assert (run_dir / "qtable_eval.json").exists()
 
+    def test_evaluation_builds_one_model(self, quick_config, write_config, model_builds, reward_cells_calls):
+        cfg, run_dir = self._trained_run(quick_config, write_config)
+        model_builds.clear()
+        reward_cells_calls.clear()
+        assert main(["evaluate", str(run_dir / "qtable.bin"), str(cfg), "--episodes", "2"]) == 0
+        assert len(model_builds) == len(reward_cells_calls) == 1
+
     def test_zero_episodes_is_empty_summary(self, quick_config, write_config, capsys):
         cfg, run_dir = self._trained_run(quick_config, write_config)
         assert main(["evaluate", str(run_dir / "qtable.bin"), str(cfg), "--episodes", "0"]) == 0
@@ -689,8 +713,9 @@ class TestEvaluate:
         assert payload == json.loads(artifact.with_name("qtable_eval.json").read_text())
         cfg = cli.load_experiment_config(path)
         policy = greedy_policy(load_qtable(artifact)[0])
-        seen = asdict(evaluate_policy(cfg.env_params, cfg.profile, policy, 20, partial_obs=True))
-        true = asdict(evaluate_policy(cfg.env_params, cfg.profile, policy, 20))
+        env = WorkshopEnv(cfg.env_params, cfg.profile)
+        seen = asdict(evaluate_policy(env, policy, 20, partial_obs=True))
+        true = asdict(evaluate_policy(env, policy, 20))
         assert payload == seen != true
 
     @pytest.mark.parametrize(
@@ -729,7 +754,7 @@ class TestEvaluate:
         assert capsys.readouterr().out.strip().splitlines()[-1] == first
         cfg = cli.load_experiment_config(path)
         policy = greedy_policy(load_qtable(run_dir / "qtable.bin")[0])
-        seen = evaluate_policy(cfg.env_params, cfg.profile, policy, 20, partial_obs=True)
+        seen = evaluate_policy(WorkshopEnv(cfg.env_params, cfg.profile), policy, 20, partial_obs=True)
         assert json.loads(first) != asdict(seen)
 
     def test_network_artifact_evaluates(self, quick_config, write_config, capsys):
@@ -821,13 +846,23 @@ class TestSweep:
         out_path = Path(quick_config["output_dir"]) / "quick" / "sweep_env_noise_p.csv"
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.PINNED_LEARNER_SWEEP[agent]
 
-    def test_a_vi_point_builds_the_reward_cells_three_times(self, quick_config, write_config, reward_cells_calls):
-        """Once for the solved model, once for the evaluation env's model and
-        once for the exact match rate."""
+    def test_a_vi_point_builds_the_reward_cells_twice(self, quick_config, write_config, reward_cells_calls):
+        """Once for the solved model and once for the evaluation env's model,
+        which the exact match rate reads too."""
         path = write_config(quick_config)
         argv = ["sweep", str(path), "--param", "env.noise_p", "--values", "0.3", "--agent", "vi", "--episodes", "2"]
         assert main(argv) == 0
-        assert len(reward_cells_calls) == 3
+        assert len(reward_cells_calls) == 2
+
+    @pytest.mark.parametrize("agent, models", [("vi", 2), ("tabular", 1), ("dqn", 1)])
+    def test_models_built_per_point(self, quick_config, write_config, model_builds, reward_cells_calls, agent, models):
+        """A learner is scored on the env it trained on, so its point builds
+        one model; value iteration solves a model of its own beside the
+        evaluation env's.  Each model builds the reward cells once."""
+        path = write_config(quick_config)
+        argv = ["sweep", str(path), "--param", "env.noise_p", "--values", "0.1,0.3", "--agent", agent, "--episodes", "2"]
+        assert main(argv) == 0
+        assert len(model_builds) == len(reward_cells_calls) == 2 * models
 
     def test_negative_seed_value_exits_2(self, quick_config, write_config, capsys):
         path = write_config(quick_config)
@@ -840,9 +875,9 @@ class TestSweep:
         seeds = []
         evaluate = cli.evaluate_policy
 
-        def spy(params, profile, policy, episodes):
-            seeds.append(params.seed)
-            return evaluate(params, profile, policy, episodes)
+        def spy(env, policy, episodes):
+            seeds.append(env.params.seed)
+            return evaluate(env, policy, episodes)
 
         monkeypatch.setattr(cli, "evaluate_policy", spy)
         cli.sweep_param(cli.parse_experiment_config(quick_config), "env.seed", [5, 5, 6], episodes=2)
@@ -1036,6 +1071,19 @@ class TestEmitPlotData:
 
     def test_missing_metrics_exits_2(self, tmp_path):
         assert main(["emit-plot-data", str(tmp_path / "empty")]) == 2
+
+    def test_dqn_run_shorter_than_an_episode_exits_2_for_no_rows(self, quick_config, write_config, capsys):
+        """Fewer steps than the horizon end no episode, so ``metrics.csv``
+        holds its header alone."""
+        quick_config["dqn"]["total_steps"] = 30
+        assert quick_config["env"]["horizon"] > 30
+        path = write_config(quick_config)
+        assert main(["train", str(path), "--agent", "dqn"]) == 0
+        run_dir = Path(quick_config["output_dir"]) / "quick"
+        assert len((run_dir / "metrics.csv").read_text().splitlines()) == 1
+        capsys.readouterr()
+        assert main(["emit-plot-data", str(run_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {run_dir / 'metrics.csv'} has no rows"]
 
     @pytest.mark.parametrize("window", ["0", "-1"])
     def test_window_below_one_exits_2(self, tmp_path, window):

@@ -462,3 +462,14 @@ def test_rows_do_not_depend_on_build_order(params):
         got_ids, got_cum, got_total = shuffled._rows[key]
         assert got_ids.tobytes() == ids.tobytes() and bytes(got_cum) == bytes(cum), key
         assert got_total.hex() == total.hex(), key
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 16])
+def test_influence_counts_count_the_degraded_influencing_machines(k):
+    """Every machine-bit pattern's entry is the popcount of its influencing
+    bits; every third machine influences nothing, and at k = 1 none does."""
+    params = EnvParams(contexts=tuple(ContextConfig(f"m{i}", k != 1 and i % 3 != 1) for i in range(k)))
+    model = FactoredModel(params, WorkerProfile())
+    mask = model.influence_mask
+    assert model.influence_counts.tolist() == [(bits & mask).bit_count() for bits in range(1 << k)]
+    assert model.influence_counts is model.influence_counts

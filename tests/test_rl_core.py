@@ -5,7 +5,6 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from cpssperso import rl_core
 from cpssperso.rl_core import (
     EpisodeMetrics,
     EvalSummary,
@@ -32,6 +31,7 @@ from cpssperso.workshop_env import (
     PACES,
     ContextConfig,
     EnvParams,
+    FactoredModel,
     RewardMagnitudes,
     WorkerProfile,
     WorkshopEnv,
@@ -321,18 +321,18 @@ class TestHelpers:
         params = EnvParams()
         mdp = FiniteMdp.from_env(params, PROFILE)
         q = value_iteration(mdp, params.gamma, 1e-9)
-        assert exact_match_rate(greedy_policy(q), params, PROFILE) >= 0.95
+        assert exact_match_rate(greedy_policy(q), mdp.model) >= 0.95
 
     def test_oracle_rollouts_match_worker_needs(self):
         params = EnvParams()
         mdp = FiniteMdp.from_env(params, PROFILE)
         q = value_iteration(mdp, params.gamma, 1e-9)
-        summary = evaluate_policy(params, PROFILE, greedy_policy(q), episodes=20)
+        summary = evaluate_policy(WorkshopEnv(params, PROFILE), greedy_policy(q), episodes=20)
         assert summary.worker_match_rate >= 0.9
         assert summary.mean_return > 0
 
     def test_zero_episode_evaluation_is_empty(self):
-        summary = evaluate_policy(EnvParams(), PROFILE, np.zeros(72, dtype=int), episodes=0)
+        summary = evaluate_policy(WorkshopEnv(EnvParams(), PROFILE), np.zeros(72, dtype=int), episodes=0)
         assert summary.episodes == 0 and summary.mean_return == 0.0
 
 
@@ -389,7 +389,7 @@ class TestEvaluatePolicy:
             contexts=tuple(ContextConfig(f"m{i}", i != 1) for i in range(k)), machine_degrade_p=0.2, seed=k
         )
         pi = greedy_policy(value_iteration(FiniteMdp.from_env(params, PROFILE), params.gamma, 1e-9))
-        summary = evaluate_policy(params, PROFILE, pi, episodes=20)
+        summary = evaluate_policy(WorkshopEnv(params, PROFILE), pi, episodes=20)
         assert summary == evaluate_on_states(params, PROFILE, pi, episodes=20)
 
     def test_random_policies_match_the_state_loop(self):
@@ -399,7 +399,7 @@ class TestEvaluatePolicy:
             params, profile = sampled_config(rng, i)
             pi = rng.integers(len(ACTIONS), size=num_states(params))
             episodes = int(rng.integers(1, 6))
-            summary = evaluate_policy(params, profile, pi, episodes)
+            summary = evaluate_policy(WorkshopEnv(params, profile), pi, episodes)
             assert summary == evaluate_on_states(params, profile, pi, episodes), (i, params)
             assert all(type(value) is float for value in astuple(summary)[1:])
             violated += summary.safety_violation_rate > 0
@@ -409,11 +409,11 @@ class TestEvaluatePolicy:
         """The env's model holds the cells that its rows and the rates read."""
         params = EnvParams(contexts=(ContextConfig("m0"), ContextConfig("m1", False)), machine_degrade_p=0.3)
         pi = np.random.default_rng(3).integers(len(ACTIONS), size=num_states(params))
-        evaluate_policy(params, PROFILE, pi, episodes=3)
+        evaluate_policy(WorkshopEnv(params, PROFILE), pi, episodes=3)
         assert reward_cells_calls == [(params, PROFILE)]
 
     @staticmethod
-    def trajectories(monkeypatch, params, pi, episodes, partial_obs):
+    def trajectories(params, pi, episodes, partial_obs):
         """The summary of an evaluation, and every episode of it as its
         (true state, observed id, action) steps."""
         episodes_seen = []
@@ -429,12 +429,11 @@ class TestEvaluatePolicy:
                 nxt, self.obs, reward, done = super().step_id(a)
                 return nxt, self.obs, reward, done
 
-        monkeypatch.setattr(rl_core, "WorkshopEnv", RecordingEnv)
-        summary = evaluate_policy(params, PROFILE, pi, episodes, partial_obs=partial_obs)
+        summary = evaluate_policy(RecordingEnv(params, PROFILE), pi, episodes, partial_obs=partial_obs)
         return summary, episodes_seen
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_partial_obs_replays_the_full_obs_draws(self, seed, monkeypatch):
+    def test_partial_obs_replays_the_full_obs_draws(self, seed):
         """With equal seeds, acting on the observation follows the same true
         states and observations as acting on the true state for as long as
         the actions agree: the same draws, in the same order."""
@@ -443,8 +442,8 @@ class TestEvaluatePolicy:
             alpha=0.6, contexts=(ContextConfig("m0"), ContextConfig("m1", False)), machine_degrade_p=0.3, seed=seed
         )
         pi = rng.integers(len(ACTIONS), size=num_states(params))
-        _, full = self.trajectories(monkeypatch, params, pi, 12, False)
-        _, partial = self.trajectories(monkeypatch, params, pi, 12, True)
+        _, full = self.trajectories(params, pi, 12, False)
+        _, partial = self.trajectories(params, pi, 12, True)
         assert len(full) == len(partial) == 12
         diverged = agreed_on_misread = 0
         for ep_full, ep_partial in zip(full, partial):
@@ -457,26 +456,40 @@ class TestEvaluatePolicy:
                 agreed_on_misread += obs != s
         assert diverged >= 3 and agreed_on_misread >= 1
 
-    def test_partial_obs_of_a_worker_blind_policy_is_the_full_obs_run(self, monkeypatch):
+    def test_partial_obs_of_a_worker_blind_policy_is_the_full_obs_run(self):
         """A policy that ignores the worker acts alike on every misread, so
         both evaluations take the same steps and report the same summary,
         although the channel misreads."""
         params = EnvParams(alpha=0.5, contexts=(ContextConfig("m0"), ContextConfig("m1")), seed=3)
         rest = num_states(params) // 18
         pi = np.tile(np.random.default_rng(3).integers(len(ACTIONS), size=rest), 18)
-        summary, full = self.trajectories(monkeypatch, params, pi, 10, False)
-        summary_p, partial = self.trajectories(monkeypatch, params, pi, 10, True)
+        summary, full = self.trajectories(params, pi, 10, False)
+        summary_p, partial = self.trajectories(params, pi, 10, True)
         assert summary_p == summary and partial == full
         assert any(obs != s for ep in full for s, obs, _ in ep)
 
     def test_partial_obs_without_misreads_is_the_full_obs_run(self):
         params = EnvParams(alpha=1.0, contexts=(ContextConfig("m0"),), seed=5)
         pi = np.random.default_rng(5).integers(len(ACTIONS), size=num_states(params))
-        assert evaluate_policy(params, PROFILE, pi, 8, partial_obs=True) == evaluate_policy(params, PROFILE, pi, 8)
+        env = WorkshopEnv(params, PROFILE)
+        assert evaluate_policy(env, pi, 8, partial_obs=True) == evaluate_policy(env, pi, 8)
+
+    @pytest.mark.parametrize("partial_obs", [False, True])
+    def test_a_trained_env_evaluates_as_a_new_one(self, partial_obs):
+        """Evaluation reseeds every episode and a row depends only on the
+        state and the action, so the env a learner trained on, its draws
+        moved and its rows cached, reports what a new env does."""
+        params = EnvParams(alpha=0.6, contexts=(ContextConfig("m0"), ContextConfig("m1", False)), seed=4)
+        trained = WorkshopEnv(params, PROFILE)
+        q, _ = train_tabular(trained, LearningSchedule(episodes=30, decay_steps=20))
+        assert trained._rows
+        pi = greedy_policy(q)
+        summary = evaluate_policy(trained, pi, 10, partial_obs=partial_obs)
+        assert summary == evaluate_policy(WorkshopEnv(params, PROFILE), pi, 10, partial_obs=partial_obs)
 
     def test_policy_of_another_shape_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_policy(EnvParams(), PROFILE, np.zeros(36, dtype=int), episodes=1)
+            evaluate_policy(WorkshopEnv(EnvParams(), PROFILE), np.zeros(36, dtype=int), episodes=1)
 
     @pytest.mark.parametrize(
         "pi",
@@ -485,11 +498,12 @@ class TestEvaluatePolicy:
     )
     def test_policy_of_bad_action_indices_rejected(self, pi):
         with pytest.raises(ValueError):
-            evaluate_policy(EnvParams(), PROFILE, pi, episodes=3)
+            evaluate_policy(WorkshopEnv(EnvParams(), PROFILE), pi, episodes=3)
 
     def test_unsigned_policy_accepted(self):
         pi = np.zeros(72, dtype=np.uint8)
-        assert evaluate_policy(EnvParams(), PROFILE, pi, 3) == evaluate_policy(EnvParams(), PROFILE, pi.astype(int), 3)
+        env = WorkshopEnv(EnvParams(), PROFILE)
+        assert evaluate_policy(env, pi, 3) == evaluate_policy(env, pi.astype(int), 3)
 
 
 class TestExactMatchRate:
@@ -505,7 +519,7 @@ class TestExactMatchRate:
             solved = greedy_policy(value_iteration(FiniteMdp.from_env(params, profile), params.gamma, 1e-9))
             for pi in (rng.integers(len(ACTIONS), size=n), solved):
                 expected = sum(int(pi[s]) == need[s] for s in range(n)) / n
-                assert exact_match_rate(pi, params, profile) == expected, (i, params)
+                assert exact_match_rate(pi, FactoredModel(params, profile)) == expected, (i, params)
 
     @pytest.mark.parametrize(
         "pi",
@@ -522,9 +536,9 @@ class TestExactMatchRate:
     )
     def test_bad_policies_rejected_as_by_evaluate_policy(self, pi):
         with pytest.raises(ValueError) as rejected:
-            exact_match_rate(pi, EnvParams(), PROFILE)
+            exact_match_rate(pi, FactoredModel(EnvParams(), PROFILE))
         with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
-            evaluate_policy(EnvParams(), PROFILE, pi, episodes=1)
+            evaluate_policy(WorkshopEnv(EnvParams(), PROFILE), pi, episodes=1)
 
 
 def test_sixteen_machine_rates_build_nothing_of_the_state_space_size():
@@ -535,7 +549,10 @@ def test_sixteen_machine_rates_build_nothing_of_the_state_space_size():
     params = EnvParams(contexts=tuple(ContextConfig(f"m{i}") for i in range(16)))
     mdp = FiniteMdp.from_env(params, PROFILE).lumped()
     pi = mdp.expand(greedy_policy(value_iteration(mdp, params.gamma, 1e-9)))
-    for rate in (lambda: evaluate_policy(params, PROFILE, pi, episodes=20), lambda: exact_match_rate(pi, params, PROFILE)):
+    for rate in (
+        lambda: evaluate_policy(WorkshopEnv(params, PROFILE), pi, episodes=20),
+        lambda: exact_match_rate(pi, FactoredModel(params, PROFILE)),
+    ):
         tracemalloc.start()
         try:
             rate()

@@ -119,7 +119,7 @@ def check_solver(mdp: FiniteMdp, expect, gamma: float, tmp_path, tolerance: floa
 def check_workshop(params: EnvParams, profile: WorkerProfile, tmp_path, gammas=None) -> None:
     mdp = FiniteMdp.from_env(params, profile)
     assert mdp.rewards.T.flags.c_contiguous  # the sweeps add them action-major
-    kernels = reference_kernels(mdp.params)
+    kernels = reference_kernels(params)
     v = np.random.default_rng(num_states(params)).normal(size=num_states(params))
     out = np.full(mdp.rewards.shape[::-1], np.nan)
     ev = mdp.expect(v, out)
@@ -260,7 +260,7 @@ def test_dense_mdps(name, gamma, tmp_path):
 def test_all_zero_rewards(zero, tmp_path):
     params = EnvParams(contexts=(ContextConfig("m0"), ContextConfig("m1", False)))
     mdp = FiniteMdp.from_env(params, WorkerProfile())
-    kernels = reference_kernels(mdp.params)
+    kernels = reference_kernels(params)
     mdp.rewards = np.full(mdp.rewards.shape, zero)
     check_solver(mdp, lambda v: reference_expect(mdp.model, v, kernels), 0.95, tmp_path)
     dense = dense_mdps()["random"]
